@@ -464,19 +464,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         else:
             # 10-byte records, one per detector tag plus one per pulse
-            # for the reference channel; CSV costs roughly 4x
+            # for the reference channel (CSV costs roughly 4x), and a
+            # 9-byte transmitter record per photon event or tagged window
             per_record = 40.0 if args.format == "csv" else 10.0
             click = click_probability(scenario.operating_point)
             _check_disk_space(
                 run.path,
-                per_record * scenario.n_pulses * (1.2 + 2.0 * click),
+                scenario.n_pulses
+                * (per_record * (1.1 + 2.0 * click) + 9.0 * 2.0 * click),
             )
             alice, stream = simulate_run(scenario, max_workers=threads)
             if args.format == "csv":
                 write_tags_csv(stream, run.file("tags.csv"))
             else:
                 write_tags(stream, run.file("tags.bin"))
-            np.save(run.file("alice_states.npy"), alice.states)
+            np.save(run.file("alice_states.npy"), alice.as_records())
             _print(
                 f"simulated {scenario.n_pulses} pulses -> "
                 f"{len(stream)} detector tags"

@@ -77,7 +77,7 @@ class SiftedKey:
 
     ``indices`` are the originating pulse windows, strictly increasing;
     the transmitter's matching bits are recoverable as
-    ``alice.bits[key.indices]``.
+    ``alice.bits_at(key.indices)``.
     """
 
     basis: str
@@ -121,14 +121,14 @@ def sift(
     contribute a bit.
     """
     windows = detections.window_index()
-    valid = (windows >= 0) & (windows < len(alice))
+    valid = (windows >= 0) & (windows < alice.n_pulses)
     windows = windows[valid]
     channels = detections.channel[valid]
     kept_windows, first = np.unique(windows, return_index=True)
     kept_channels = channels[first]
 
     bob_basis = kept_channels >> 1
-    alice_basis = alice.bases[kept_windows]
+    alice_basis = alice.bases_at(kept_windows)
     matched = bob_basis == alice_basis
 
     keys = []
@@ -629,7 +629,7 @@ def run_session(
             "increase the pulse budget",
         )
 
-    alice_x = alice.bits[x_key.indices]
+    alice_x = alice.bits_at(x_key.indices)
     estimate = estimate_error_rate(
         alice_x,
         x_key.bits,
@@ -638,7 +638,7 @@ def run_session(
     )
     transcript.append(("estimation", 2 * estimate.n_disclosed))
 
-    alice_z = alice.bits[z_key.indices]
+    alice_z = alice.bits_at(z_key.indices)
     verification_bits = verification_tag_length(budget.eps_cor)
     reconcile_rng = _stage_rng(scenario.seed, 1)
     verify_rng = _stage_rng(scenario.seed, 2)

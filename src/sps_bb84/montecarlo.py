@@ -10,9 +10,18 @@ sync channel ``CHANNEL_REFERENCE``=4.  Encoded states use the same 0-3
 codes, so ``state >> 1`` is the basis (0 = rectilinear, 1 = diagonal) and
 ``state & 1`` the bit, i.e. H=Z0, V=Z1, D=X0, A=X1.
 
-Simulation runs are partitioned into fixed-size pulse chunks; each chunk
-draws from its own counter-seeded Philox stream, so results are
-bit-identical regardless of worker count or chunk execution order.
+The generator is event-driven: it draws only the pulses that carry a
+photon surviving the optical chain (geometric gaps between them, then
+each event's photon configuration from its conditional law) and the dark
+counts, so its cost and memory grow with detections, not with pulses.
+One generator and one chunk driver serve both the BB84 receiver and the
+two-detector intensity-correlation (HBT) setup.  Runs are partitioned
+into fixed-size pulse chunks; each chunk draws from its own
+counter-seeded Philox stream, so results are bit-identical regardless of
+worker count or chunk execution order.
+
+The transmitter record (``AliceRecord``) is sparse: it holds states only
+for photon-carrying pulses and for the other windows that hold a tag.
 
 Reference (sync) tags are exactly one per pulse at the nominal pulse time.
 They are kept virtual — recomputed arithmetically rather than stored — so
@@ -24,9 +33,15 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    Protocol,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -66,6 +81,11 @@ NO_TRUTH_STATE = 255
 #: pulses per generation chunk; fixed so chunk seeding is reproducible
 CHUNK_PULSES = 1_000_000
 
+#: spawn key of the stream drawing states for tagged windows without a
+#: photon event; two words, so it differs from every chunk key
+#: ``(chunk_index,)``
+_WINDOW_STATE_SPAWN = (0x57A7E5, 0)
+
 #: sift windows open this many ps before the nominal pulse time, so that
 #: detector jitter on prompt clicks cannot push them into the previous
 #: window; late emission tails spilling past the next boundary remain and
@@ -93,6 +113,9 @@ _FLAG_DARK = 0b0001_0000
 _FLAG_HAS_STATE = 0b0010_0000
 
 _CSV_HEADER = ["time_ps", "channel", "truth_state", "truth_photons", "dark"]
+
+#: row layout of an exported transmitter record
+_ALICE_RECORD_DTYPE = np.dtype([("pulse", "<i8"), ("state", "u1")])
 
 
 @runtime_checkable
@@ -157,23 +180,76 @@ class Scenario:
         return self.operating_point.protocol.pulse_period_ps
 
 
+def _lookup(
+    sorted_keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``values`` in ``sorted_keys``, and which are present."""
+    position = np.searchsorted(sorted_keys, values)
+    present = position < len(sorted_keys)
+    present[present] = sorted_keys[position[present]] == values[present]
+    return position, present
+
+
 @dataclass(frozen=True, slots=True)
 class AliceRecord:
-    """Transmitter-side ground truth: the encoded state of every pulse."""
+    """Transmitter-side ground truth, held only where a tag can ask for it.
 
-    states: np.ndarray  # uint8 codes 0-3, one per pulse
+    ``indices`` are the pulses whose encoded state is recorded, strictly
+    increasing, with their ``states`` (uint8 codes 0-3).  A simulated run
+    records every pulse that carried a surviving photon and every other
+    window holding a detector tag; the states of the remaining pulses
+    never reach the receiver and are not drawn.  Look states up with
+    ``states_at``, which raises for a pulse the record does not hold.
+    """
 
-    def __len__(self) -> int:
-        return len(self.states)
+    n_pulses: int
+    indices: np.ndarray  # int64 pulse indices, strictly increasing
+    states: np.ndarray  # uint8 codes 0-3, one per index
 
-    @property
-    def bases(self) -> np.ndarray:
-        """0 = rectilinear (Z), 1 = diagonal (X), per pulse."""
-        return self.states >> 1
+    def __post_init__(self) -> None:
+        indices = np.asarray(self.indices, dtype=np.int64)
+        states = np.asarray(self.states, dtype=np.uint8)
+        _require(
+            len(indices) == len(states),
+            "states",
+            "indices and states must have equal length",
+        )
+        if len(indices):
+            _require(
+                bool(indices[0] >= 0 and indices[-1] < self.n_pulses),
+                "indices",
+                "pulse indices must lie in [0, n_pulses)",
+            )
+            _require(
+                bool((np.diff(indices) > 0).all()),
+                "indices",
+                "pulse indices must be strictly increasing",
+            )
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "states", states)
 
-    @property
-    def bits(self) -> np.ndarray:
-        return self.states & 1
+    def states_at(self, pulses: np.ndarray) -> np.ndarray:
+        """Encoded states of the given pulses; KeyError if one is not held."""
+        pulses = np.asarray(pulses, dtype=np.int64)
+        position, held = _lookup(self.indices, pulses)
+        if not held.all():
+            missing = int(pulses[np.argmin(held)])
+            raise KeyError(f"no transmitter state recorded for pulse {missing}")
+        return self.states[position]
+
+    def bases_at(self, pulses: np.ndarray) -> np.ndarray:
+        """0 = rectilinear (Z), 1 = diagonal (X), per given pulse."""
+        return self.states_at(pulses) >> 1
+
+    def bits_at(self, pulses: np.ndarray) -> np.ndarray:
+        return self.states_at(pulses) & 1
+
+    def as_records(self) -> np.ndarray:
+        """The record as a structured array of (pulse, state) rows."""
+        records = np.empty(len(self.indices), dtype=_ALICE_RECORD_DTYPE)
+        records["pulse"] = self.indices
+        records["state"] = self.states
+        return records
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,17 +345,40 @@ def _survival_probability(point: OperatingPoint) -> float:
     )
 
 
-def _chunk_ranges(n_pulses: int) -> list[tuple[int, int, int]]:
-    ranges = []
-    for chunk_index, start in enumerate(range(0, n_pulses, CHUNK_PULSES)):
-        count = min(CHUNK_PULSES, n_pulses - start)
-        ranges.append((chunk_index, start, count))
-    return ranges
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     sequence = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(sequence))
+
+
+def _map_chunks(
+    scenario: Scenario,
+    generate: Callable[[Scenario, np.random.Generator, int, int], object],
+    max_workers: int | None,
+) -> list:
+    """Run ``generate(scenario, rng, start, count)`` per chunk, in order.
+
+    Chunk ``i`` covers pulses [i * CHUNK_PULSES, ...) and draws from its
+    own counter-seeded stream, so results do not depend on the worker
+    count or on the order chunks execute in.
+    """
+    ranges = [
+        (chunk_index, start, min(CHUNK_PULSES, scenario.n_pulses - start))
+        for chunk_index, start in enumerate(
+            range(0, scenario.n_pulses, CHUNK_PULSES)
+        )
+    ]
+
+    def run_chunk(args: tuple[int, int, int]):
+        chunk_index, start, count = args
+        rng = _chunk_rng(scenario.seed, chunk_index)
+        return generate(scenario, rng, start, count)
+
+    workers = max_workers if max_workers and max_workers > 0 else 4
+    workers = min(workers, len(ranges))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_chunk, ranges))
+    return [run_chunk(args) for args in ranges]
 
 
 def _rotated_state_table(
@@ -293,93 +392,191 @@ def _rotated_state_table(
     return _STATE_STOKES @ rotation.T
 
 
-def _simulate_chunk(
-    scenario: Scenario, chunk_index: int, start: int, count: int
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Generate Alice states and raw (unfiltered) detector tags."""
+def _bernoulli_positions(
+    rng: np.random.Generator, q: float, count: int
+) -> np.ndarray:
+    """Sorted positions in [0, count) of a Bernoulli(q) pulse process.
+
+    Gaps between successive events are geometric, so only events cost
+    draws.  Gaps are capped at ``count + 1``: any longer gap ends the
+    chunk all the same, and the cap keeps the running sum from
+    overflowing when ``q`` is tiny.
+    """
+    if q <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = count * q
+    batch = int(mean + 5.0 * math.sqrt(mean)) + 16
+    positions = np.cumsum(np.minimum(rng.geometric(q, batch), count + 1)) - 1
+    while positions[-1] < count:
+        gaps = np.minimum(rng.geometric(q, batch), count + 1)
+        positions = np.concatenate([positions, positions[-1] + np.cumsum(gaps)])
+    return positions[: np.searchsorted(positions, count)]
+
+
+def _photon_events(
+    scenario: Scenario, rng: np.random.Generator, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Surviving photons of one chunk, drawn event by event.
+
+    An event is a pulse that carries at least one photon surviving the
+    optical chain; with survival probability ``s`` that happens with
+    probability q = p1 s + p2 (1 - (1 - s)²) per pulse, independently.
+    Each event then takes one of three configurations from its
+    conditional law, with weights p1 s : 2 p2 s (1 - s) : p2 s² — one
+    photon emitted; two emitted, one survives; two emitted, both
+    survive — and each survivor is stamped with emission decay plus
+    detector jitter.  This is exactly the per-pulse law restricted to
+    the pulses that can reach a detector.
+
+    Returns the event pulse indices, photons emitted per event, the
+    event of each surviving photon (an index into the first two), and
+    each survivor's arrival time in ps.
+    """
     point = scenario.operating_point
-    source, link = point.source, point.link
+    _, p1, p2 = point.source.photon_number_pmf()
+    s = _survival_probability(point)
+    weights = np.array([p1 * s, 2.0 * p2 * s * (1.0 - s), p2 * s * s])
+    q = float(weights.sum())
+
+    positions = _bernoulli_positions(rng, q, count)
+    thresholds = np.cumsum(weights[:2]) / q if q > 0.0 else weights[:2]
+    config = np.searchsorted(
+        thresholds, rng.random(len(positions)), side="right"
+    )
+    photons = np.where(config == 0, 1, 2).astype(np.uint8)
+    owner = np.repeat(
+        np.arange(len(positions)), np.where(config == 2, 2, 1)
+    )
+    k = len(owner)
+    delay = rng.exponential(point.source.lifetime, k)
+    jitter = rng.normal(0.0, scenario.jitter_sigma, k) \
+        if scenario.jitter_sigma > 0.0 else np.zeros(k)
+    events = start + positions
+    times = np.rint(
+        events[owner] * scenario.period_ps + delay + jitter
+    ).astype(np.int64)
+    return events, photons, owner, times
+
+
+def _dark_tags(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    start: int,
+    count: int,
+    detectors: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dark-count times and detector ids for one chunk.
+
+    Each detector fires Binomial(count, p_dark) times, uniformly over
+    the chunk's time span.
+    """
+    point = scenario.operating_point
+    p_dark = point.link.dark_prob_per_detector(point.protocol.clock_rate)
+    n_dark = rng.binomial(count, p_dark, detectors)
     period = scenario.period_ps
-    clock = point.protocol.clock_rate
-    rng = _chunk_rng(scenario.seed, chunk_index)
+    times = np.rint(
+        start * period + rng.random(int(n_dark.sum())) * (count * period)
+    ).astype(np.int64)
+    return times, np.repeat(np.arange(detectors, dtype=np.uint8), n_dark)
 
+
+def _bb84_chunk(
+    scenario: Scenario, rng: np.random.Generator, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Event states and raw (unfiltered) detector tags of one chunk."""
+    link = scenario.operating_point.link
+    events, photons, owner, photon_times = _photon_events(
+        scenario, rng, start, count
+    )
     if scenario.encoded_state is None:
-        states = rng.integers(0, 4, count, dtype=np.uint8)
+        states = rng.integers(0, 4, len(events), dtype=np.uint8)
     else:
-        states = np.full(count, scenario.encoded_state, dtype=np.uint8)
-    photons = sample_photon_number(source, rng, count)
+        states = np.full(len(events), scenario.encoded_state, dtype=np.uint8)
+    k = len(owner)
+    bob_basis = rng.integers(0, 2, k, dtype=np.uint8)
+    u_project = rng.random(k)
+    u_flip = rng.random(k)
 
-    stokes = _rotated_state_table(scenario, start, count)
-    survival = _survival_probability(point)
-    p_mis = link.misalignment_prob
-    base_times = (start + np.arange(count, dtype=np.float64)) * period
+    photon_states = states[owner]
+    vectors = _rotated_state_table(scenario, start, count)[photon_states]
+    # projection onto the measured basis axis: S1 for Z, S2 for X
+    inner = np.where(bob_basis == 0, vectors[:, 0], vectors[:, 1])
+    bit = (u_project < 0.5 * (1.0 - inner)).astype(np.uint8)
+    bit ^= (u_flip < link.misalignment_prob).astype(np.uint8)
 
-    times, channels, t_state, t_photons = [], [], [], []
-    for slot in (1, 2):
-        present = photons >= slot
-        alive = present & (rng.random(count) < survival)
-        idx = np.flatnonzero(alive)
-        k = len(idx)
-        bob_basis = rng.integers(0, 2, k, dtype=np.uint8)
-        u_project = rng.random(k)
-        u_flip = rng.random(k)
-        delay = rng.exponential(source.lifetime, k)
-        jitter = rng.normal(0.0, scenario.jitter_sigma, k) \
-            if scenario.jitter_sigma > 0.0 else np.zeros(k)
-
-        vectors = stokes[states[idx]]
-        # projection onto the measured basis axis: S1 for Z, S2 for X
-        inner = np.where(bob_basis == 0, vectors[:, 0], vectors[:, 1])
-        bit = (u_project < 0.5 * (1.0 - inner)).astype(np.uint8)
-        bit ^= (u_flip < p_mis).astype(np.uint8)
-        times.append(
-            np.rint(base_times[idx] + delay + jitter).astype(np.int64)
-        )
-        channels.append(((bob_basis << 1) | bit).astype(np.uint8))
-        t_state.append(states[idx])
-        t_photons.append(photons[idx])
-
-    p_dark = link.dark_prob_per_detector(clock)
-    span_start = start * period
-    span = count * period
-    for detector in range(link.detector_count):
-        n_dark = int(rng.binomial(count, p_dark))
-        dark_times = np.rint(
-            span_start + rng.random(n_dark) * span
-        ).astype(np.int64)
-        times.append(dark_times)
-        channels.append(np.full(n_dark, detector, dtype=np.uint8))
-        t_state.append(np.full(n_dark, NO_TRUTH_STATE, dtype=np.uint8))
-        t_photons.append(np.zeros(n_dark, dtype=np.uint8))
-
-    n_photon_tags = sum(len(t) for t in times[:2])
+    dark_times, dark_channels = _dark_tags(
+        scenario, rng, start, count, link.detector_count
+    )
+    n_dark = len(dark_times)
     tags = {
-        "time_ps": np.concatenate(times),
-        "channel": np.concatenate(channels),
-        "truth_state": np.concatenate(t_state),
-        "truth_photons": np.concatenate(t_photons),
+        "time_ps": np.concatenate([photon_times, dark_times]),
+        "channel": np.concatenate([(bob_basis << 1) | bit, dark_channels]),
+        "truth_state": np.concatenate(
+            [photon_states, np.full(n_dark, NO_TRUTH_STATE, dtype=np.uint8)]
+        ),
+        "truth_photons": np.concatenate(
+            [photons[owner], np.zeros(n_dark, dtype=np.uint8)]
+        ),
+        "dark": np.concatenate(
+            [np.zeros(k, dtype=bool), np.ones(n_dark, dtype=bool)]
+        ),
     }
-    tags["dark"] = np.zeros(len(tags["time_ps"]), dtype=bool)
-    tags["dark"][n_photon_tags:] = True
-    return states, tags
+    return events, states, tags
 
 
 def _deadtime_keep_mask(
     time_ps: np.ndarray, channel: np.ndarray, dead_time_ps: float
 ) -> np.ndarray:
-    """Greedy non-paralyzable dead-time filter, per detector channel."""
+    """Greedy non-paralyzable dead-time filter, per detector channel.
+
+    A tag at least one dead time after its predecessor on the channel is
+    always kept, because the last kept tag is no later than that
+    predecessor; the greedy scan therefore only visits tags closer than
+    the dead time to their predecessor.
+    """
     keep = np.ones(len(time_ps), dtype=bool)
     if dead_time_ps <= 0.0:
         return keep
     for detector in range(4):
         idx = np.flatnonzero(channel == detector)
+        times = time_ps[idx]
+        close = np.flatnonzero(np.diff(times) < dead_time_ps) + 1
+        blocked = []
         last = -math.inf
-        for position, t in zip(idx, time_ps[idx].tolist()):
+        previous = -1
+        for k, t, t_before in zip(
+            close.tolist(), times[close].tolist(), times[close - 1].tolist()
+        ):
+            if k - 1 != previous:  # the predecessor was not close: kept
+                last = t_before
             if t - last >= dead_time_ps:
                 last = t
             else:
-                keep[position] = False
+                blocked.append(k)
+            previous = k
+        keep[idx[blocked]] = False
     return keep
+
+
+def _merge_sorted(
+    chunks: list[dict[str, np.ndarray]], dead_time_ps: float
+) -> dict[str, np.ndarray]:
+    """Concatenate chunk tags, sort by (time, channel), apply dead time."""
+    merged = {
+        key: np.concatenate([chunk[key] for chunk in chunks])
+        for key in chunks[0]
+    }
+    order = np.lexsort((merged["channel"], merged["time_ps"]))
+    keep = _deadtime_keep_mask(
+        merged["time_ps"][order], merged["channel"][order], dead_time_ps
+    )
+    order = order[keep]
+    return {key: values[order] for key, values in merged.items()}
+
+
+def _window_state_rng(seed: int) -> np.random.Generator:
+    sequence = np.random.SeedSequence(seed, spawn_key=_WINDOW_STATE_SPAWN)
+    return np.random.Generator(np.random.Philox(sequence))
 
 
 def simulate_run(
@@ -391,48 +588,50 @@ def simulate_run(
     each photon independently survives the optical chain, picks a
     measurement basis at the 50:50 splitter, projects onto a port (with
     misalignment flips), and is stamped with emission decay plus detector
-    jitter.  Dark counts fire per detector per window.  A global
-    per-detector dead-time filter then removes blocked clicks, and the
-    surviving tags are returned time-sorted with ground-truth labels.
+    jitter.  Only pulses with a surviving photon are generated (see
+    ``_photon_events``).  Dark counts fire per detector per window.  A
+    global per-detector dead-time filter then removes blocked clicks, and
+    the surviving tags are returned time-sorted with ground-truth labels.
+
+    The transmitter record holds the states of the photon-carrying
+    pulses, drawn in their chunks, plus those of every other window the
+    stream tags (dark counts, late-tail spill).  The latter are iid
+    uniform, drawn after the dead-time filter from one dedicated stream
+    in ascending window order, so the record is exact and independent of
+    the worker count.
     """
-    ranges = _chunk_ranges(scenario.n_pulses)
-    workers = max_workers if max_workers and max_workers > 0 else 4
-    workers = min(workers, len(ranges))
-
-    def run_chunk(args: tuple[int, int, int]):
-        chunk_index, start, count = args
-        return _simulate_chunk(scenario, chunk_index, start, count)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(args) for args in ranges]
-
-    states = np.concatenate([r[0] for r in results])
-    merged = {
-        key: np.concatenate([r[1][key] for r in results])
-        for key in ("time_ps", "channel", "truth_state", "truth_photons",
-                    "dark")
-    }
-    order = np.lexsort((merged["channel"], merged["time_ps"]))
-    for key in merged:
-        merged[key] = merged[key][order]
-
-    dead_time_ps = scenario.operating_point.link.dead_time * 1e3
-    keep = _deadtime_keep_mask(
-        merged["time_ps"], merged["channel"], dead_time_ps
+    results = _map_chunks(scenario, _bb84_chunk, max_workers)
+    tags = _merge_sorted(
+        [r[2] for r in results],
+        scenario.operating_point.link.dead_time * 1e3,
     )
     stream = TagStream(
-        time_ps=merged["time_ps"][keep],
-        channel=merged["channel"][keep],
-        truth_state=merged["truth_state"][keep],
-        truth_photons=merged["truth_photons"][keep],
-        dark=merged["dark"][keep],
-        n_pulses=scenario.n_pulses,
-        period_ps=scenario.period_ps,
+        **tags, n_pulses=scenario.n_pulses, period_ps=scenario.period_ps
     )
-    return AliceRecord(states=states), stream
+
+    events = np.concatenate([r[0] for r in results])
+    windows = stream.window_index()
+    windows = windows[(windows >= 0) & (windows < stream.n_pulses)]
+    # time-sorted tags have non-decreasing windows, all >= 0 here
+    tagged = windows[np.diff(windows, prepend=-1) != 0]
+    extra = tagged[~_lookup(events, tagged)[1]]
+    if scenario.encoded_state is None:
+        extra_states = _window_state_rng(scenario.seed).integers(
+            0, 4, len(extra), dtype=np.uint8
+        )
+    else:
+        extra_states = np.full(
+            len(extra), scenario.encoded_state, dtype=np.uint8
+        )
+    indices = np.concatenate([events, extra])
+    order = np.argsort(indices, kind="stable")
+    states = np.concatenate([r[1] for r in results] + [extra_states])
+    alice = AliceRecord(
+        n_pulses=scenario.n_pulses,
+        indices=indices[order],
+        states=states[order],
+    )
+    return alice, stream
 
 
 def stream_statistics(
@@ -451,7 +650,7 @@ def stream_statistics(
     channel = stream.channel[sel]
     truth = stream.truth_state[sel]
     dark = stream.dark[sel]
-    window_states = alice.states[windows[sel]]
+    window_states = alice.states_at(windows[sel])
     # photon tags score against their origin pulse, darks against the
     # window they landed in (they have no origin)
     reference_state = np.where(dark, window_states, truth)
@@ -480,44 +679,24 @@ def stream_statistics(
 # intensity-correlation (two-detector splitter) simulation
 # ---------------------------------------------------------------------------
 
-def _simulate_hbt_chunk(
-    scenario: Scenario, chunk_index: int, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _hbt_chunk(
+    scenario: Scenario, rng: np.random.Generator, start: int, count: int
+) -> dict[str, np.ndarray]:
     """Detection times and detector ids for a 50:50 splitter pair."""
-    point = scenario.operating_point
-    source, link = point.source, point.link
-    rng = _chunk_rng(scenario.seed, chunk_index)
-    period = scenario.period_ps
+    _, _, owner, photon_times = _photon_events(scenario, rng, start, count)
+    detector = rng.integers(0, 2, len(owner), dtype=np.uint8)
+    dark_times, dark_detectors = _dark_tags(scenario, rng, start, count, 2)
+    return {
+        "time_ps": np.concatenate([photon_times, dark_times]),
+        "channel": np.concatenate([detector, dark_detectors]),
+    }
 
-    photons = sample_photon_number(source, rng, count)
-    survival = _survival_probability(point)
-    base_times = (start + np.arange(count, dtype=np.float64)) * period
 
-    times, detectors = [], []
-    for slot in (1, 2):
-        present = photons >= slot
-        alive = present & (rng.random(count) < survival)
-        idx = np.flatnonzero(alive)
-        k = len(idx)
-        detector = rng.integers(0, 2, k, dtype=np.uint8)
-        delay = rng.exponential(source.lifetime, k)
-        jitter = rng.normal(0.0, scenario.jitter_sigma, k) \
-            if scenario.jitter_sigma > 0.0 else np.zeros(k)
-        times.append(
-            np.rint(base_times[idx] + delay + jitter).astype(np.int64)
-        )
-        detectors.append(detector)
-
-    p_dark = link.dark_prob_per_detector(point.protocol.clock_rate)
-    span_start = start * period
-    span = count * period
-    for detector in range(2):
-        n_dark = int(rng.binomial(count, p_dark))
-        times.append(
-            np.rint(span_start + rng.random(n_dark) * span).astype(np.int64)
-        )
-        detectors.append(np.full(n_dark, detector, dtype=np.uint8))
-    return np.concatenate(times), np.concatenate(detectors)
+def _pair_offsets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``range(lo[i], hi[i])`` for every i, concatenated; needs lo <= hi."""
+    count = hi - lo
+    run_start = np.cumsum(count) - count
+    return np.arange(int(count.sum())) + np.repeat(lo - run_start, count)
 
 
 def simulate_g2_histogram(
@@ -539,28 +718,11 @@ def simulate_g2_histogram(
     _require(bin_width_ps > 0.0, "bin_width_ps", "must be positive")
     _require(side_periods >= 3, "side_periods", "need at least 3 side peaks")
 
-    ranges = _chunk_ranges(scenario.n_pulses)
-    workers = max_workers if max_workers and max_workers > 0 else 4
-    workers = min(workers, len(ranges))
-
-    def run_chunk(args: tuple[int, int, int]):
-        chunk_index, start, count = args
-        return _simulate_hbt_chunk(scenario, chunk_index, start, count)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(args) for args in ranges]
-
-    time_ps = np.concatenate([r[0] for r in results])
-    detector = np.concatenate([r[1] for r in results])
-    order = np.lexsort((detector, time_ps))
-    time_ps, detector = time_ps[order], detector[order]
-
-    dead_time_ps = scenario.operating_point.link.dead_time * 1e3
-    keep = _deadtime_keep_mask(time_ps, detector, dead_time_ps)
-    time_ps, detector = time_ps[keep], detector[keep]
+    tags = _merge_sorted(
+        _map_chunks(scenario, _hbt_chunk, max_workers),
+        scenario.operating_point.link.dead_time * 1e3,
+    )
+    time_ps, detector = tags["time_ps"], tags["channel"]
 
     t0 = time_ps[detector == 0]
     t1 = time_ps[detector == 1]
@@ -571,12 +733,7 @@ def simulate_g2_histogram(
     if len(t0) and len(t1):
         lo = np.searchsorted(t1, t0 + origin)
         hi = np.searchsorted(t1, t0 - origin)
-        pair_count = hi - lo
-        starts = np.repeat(t0, pair_count)
-        offsets = np.concatenate(
-            [np.arange(a, b) for a, b in zip(lo, hi) if b > a]
-        ) if pair_count.sum() else np.empty(0, dtype=np.int64)
-        delays = t1[offsets] - starts
+        delays = t1[_pair_offsets(lo, hi)] - np.repeat(t0, hi - lo)
         bins = np.floor((delays - origin) / bin_width_ps).astype(np.int64)
         np.clip(bins, 0, n_bins - 1, out=bins)
         np.add.at(counts, bins, 1)

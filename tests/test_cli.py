@@ -359,6 +359,21 @@ class TestSimulateAnalyze:
             target = sim10_dir / output["name"]
             assert target.stat().st_size == output["bytes"]
 
+    def test_every_tag_window_resolves_in_alice_states(self, sim10_dir):
+        from sps_bb84.montecarlo import read_tags
+
+        records = np.load(sim10_dir / "alice_states.npy")
+        assert records.dtype.names == ("pulse", "state")
+        assert records["pulse"].dtype == np.dtype("<i8")
+        assert records["state"].dtype == np.uint8
+        assert (np.diff(records["pulse"]) > 0).all()
+        assert (records["state"] <= 3).all()
+        stream = read_tags(sim10_dir / "tags.bin")
+        windows = stream.window_index()
+        windows = windows[(windows >= 0) & (windows < stream.n_pulses)]
+        assert len(windows) > 0
+        assert np.isin(windows, records["pulse"]).all()
+
     def test_double_run_is_bit_identical(
         self, tmp_path, loss10_scenario, sim10_dir, capsys
     ):
@@ -576,19 +591,19 @@ class TestSession:
         )
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "final_key_bits       304" in out
+        assert "final_key_bits       300" in out
         payload = json.loads((out_dir / "ledger.json").read_text())
         ledger = payload["ledger"]
-        assert ledger["raw_z"] == 2398
-        assert ledger["raw_x"] == 2213
-        assert ledger["final_length"] == 304
-        assert payload["finite_report"]["final_key_length"] == 304
+        assert ledger["raw_z"] == 2316
+        assert ledger["raw_x"] == 2319
+        assert ledger["final_length"] == 300
+        assert payload["finite_report"]["final_key_length"] == 300
         alice = (out_dir / "key_alice.bin").read_bytes()
         bob = (out_dir / "key_bob.bin").read_bytes()
         assert alice == bob
-        assert len(alice) == math.ceil(304 / 8)
+        assert len(alice) == math.ceil(300 / 8)
         unpacked = np.unpackbits(np.frombuffer(alice, dtype=np.uint8))
-        assert unpacked[:304].sum() > 0
+        assert unpacked[:300].sum() > 0
 
     def test_zero_key_session_exit_code(self, tmp_path, capsys):
         scenario = _write_scenario(

@@ -1,12 +1,23 @@
 """Tests for the pulse-level detection simulator."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sps_bb84.montecarlo import (
     CHANNEL_REFERENCE,
     NO_TRUTH_STATE,
+    AliceRecord,
     Scenario,
+    _chunk_rng,
+    _deadtime_keep_mask,
+    _pair_offsets,
+    _photon_events,
+    _survival_probability,
     sample_photon_number,
     simulate_g2_histogram,
     simulate_run,
@@ -118,6 +129,140 @@ def test_photon_sampler_rejects_invalid_distribution():
 
 
 # ---------------------------------------------------------------------------
+# event generator
+# ---------------------------------------------------------------------------
+
+def test_event_configurations_follow_conditional_law():
+    # a bright, impure source on a lossless link makes all three event
+    # configurations frequent: one photon emitted; two emitted, one
+    # survives; two emitted, both survive
+    point = lossless_point().with_source(
+        SourceModel(mean_photon_number=0.5, g2_zero=0.5)
+    )
+    sc = Scenario(operating_point=point, n_pulses=4_000_000, seed=4)
+    counts = np.zeros(3)
+    for chunk in range(4):
+        _, photons, owner, _ = _photon_events(
+            sc, _chunk_rng(sc.seed, chunk), chunk * 1_000_000, 1_000_000
+        )
+        survivors = np.bincount(owner, minlength=len(photons))
+        counts += [
+            (photons == 1).sum(),
+            ((photons == 2) & (survivors == 1)).sum(),
+            (survivors == 2).sum(),
+        ]
+    _, p1, p2 = point.source.photon_number_pmf()
+    s = _survival_probability(point)
+    weights = np.array([p1 * s, 2.0 * p2 * s * (1.0 - s), p2 * s * s])
+    share = weights / weights.sum()
+    total = counts.sum()
+    sigma = np.sqrt(total * share * (1.0 - share))
+    assert (np.abs(counts - total * share) < 4.0 * sigma).all()
+    # the event count itself is Binomial(n_pulses, q)
+    q = weights.sum()
+    expected = q * sc.n_pulses
+    assert abs(total - expected) < 4.0 * math.sqrt(expected * (1.0 - q))
+
+
+def test_paper_scale_run_cost_follows_detections():
+    # 1e10 pulses at the operating point hold ~1.3e6 detections; the
+    # generator must not touch the pulses between them
+    point = table_point().with_loss(25.49)
+    sc = Scenario(operating_point=point, n_pulses=10_000_000_000, seed=25)
+    t0 = time.perf_counter()
+    alice, stream = simulate_run(sc)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0
+    summary = stream_statistics(alice, stream)
+    _, p1, p2 = point.source.photon_number_pmf()
+    s = _survival_probability(point)
+    q = p1 * s + p2 * (1.0 - (1.0 - s) ** 2)
+    events_bound = q * sc.n_pulses + 5.0 * math.sqrt(q * sc.n_pulses)
+    assert len(alice.indices) <= events_bound + summary.clicked_windows
+    expected = click_probability(point)
+    sigma = math.sqrt(expected * (1.0 - expected) / sc.n_pulses)
+    assert abs(summary.click_fraction - expected) < 3.0 * sigma
+
+
+def test_every_tagged_window_has_a_recorded_state():
+    sc = Scenario(operating_point=table_point().with_loss(10.0),
+                  n_pulses=2_000_000, seed=8)
+    alice, stream = simulate_run(sc)
+    windows = stream.window_index()
+    windows = windows[(windows >= 0) & (windows < sc.n_pulses)]
+    states = alice.states_at(windows)
+    assert len(states) == len(windows) and (states <= 3).all()
+
+
+def test_alice_record_lookup_of_unheld_pulse_raises():
+    alice = AliceRecord(n_pulses=100, indices=[3, 7, 42], states=[0, 1, 3])
+    np.testing.assert_array_equal(alice.states_at([42, 3]), [3, 0])
+    np.testing.assert_array_equal(alice.bits_at([7]), [1])
+    np.testing.assert_array_equal(alice.bases_at([42]), [1])
+    for missing in ([5], [3, 43], [99], [-1]):
+        with pytest.raises(KeyError, match="no transmitter state"):
+            alice.states_at(missing)
+    with pytest.raises(KeyError):
+        AliceRecord(n_pulses=10, indices=[], states=[]).states_at([0])
+
+
+def test_alice_record_rejects_malformed_indices():
+    with pytest.raises(ParameterError, match="increasing"):
+        AliceRecord(n_pulses=10, indices=[4, 4], states=[0, 1])
+    with pytest.raises(ParameterError, match="n_pulses"):
+        AliceRecord(n_pulses=10, indices=[10], states=[0])
+    with pytest.raises(ParameterError, match="equal length"):
+        AliceRecord(n_pulses=10, indices=[1, 2], states=[0])
+
+
+def _greedy_deadtime_reference(time_ps, channel, dead_time_ps):
+    """Plain per-channel greedy scan over every tag."""
+    keep = np.ones(len(time_ps), dtype=bool)
+    if dead_time_ps <= 0.0:
+        return keep
+    for detector in range(4):
+        idx = np.flatnonzero(channel == detector)
+        last = -math.inf
+        for position, t in zip(idx, time_ps[idx].tolist()):
+            if t - last >= dead_time_ps:
+                last = t
+            else:
+                keep[position] = False
+    return keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # (gap to the previous tag in ps, channel); channel 4 is never gated
+    tags=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 4)), max_size=200
+    ),
+    dead_time_ps=st.sampled_from([0.0, 1.0, 25.0, 40.5, 100.0, 1e4]),
+)
+def test_deadtime_filter_matches_greedy_reference(tags, dead_time_ps):
+    time_ps = np.cumsum(np.array([g for g, _ in tags], dtype=np.int64))
+    channel = np.array([c for _, c in tags], dtype=np.uint8)
+    np.testing.assert_array_equal(
+        _deadtime_keep_mask(time_ps, channel, dead_time_ps),
+        _greedy_deadtime_reference(time_ps, channel, dead_time_ps),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds=st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=40
+    )
+)
+def test_pair_offsets_match_per_tag_ranges(bounds):
+    lo = np.array([a for a, _ in bounds], dtype=np.int64)
+    hi = lo + np.array([n for _, n in bounds], dtype=np.int64)
+    ranges = [np.arange(a, b) for a, b in zip(lo, hi)]
+    expected = np.concatenate(ranges) if ranges else np.empty(0, np.int64)
+    np.testing.assert_array_equal(_pair_offsets(lo, hi), expected)
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
@@ -126,6 +271,7 @@ def test_run_is_deterministic_across_worker_counts():
                   n_pulses=2_500_000, seed=99)
     alice1, stream1 = simulate_run(sc, max_workers=1)
     alice2, stream2 = simulate_run(sc, max_workers=4)
+    assert np.array_equal(alice1.indices, alice2.indices)
     assert np.array_equal(alice1.states, alice2.states)
     assert np.array_equal(stream1.time_ps, stream2.time_ps)
     assert np.array_equal(stream1.channel, stream2.channel)
@@ -270,7 +416,7 @@ def test_random_encoding_uses_all_states():
     alice, _ = simulate_run(sc)
     values, counts = np.unique(alice.states, return_counts=True)
     assert list(values) == [0, 1, 2, 3]
-    assert counts.min() > 0.2 * 100_000
+    assert counts.min() > 0.2 * len(alice.states)
 
 
 # ---------------------------------------------------------------------------
