@@ -241,7 +241,7 @@ def _scenario_path(args: argparse.Namespace) -> str | None:
 
 def _resolve_threads(args: argparse.Namespace) -> int | None:
     """Worker cap: the --threads flag wins, then the environment."""
-    flag = getattr(args, "threads", None)
+    flag = args.threads
     if flag is not None:
         if flag < 1:
             raise ParameterError("threads", "must be >= 1")
@@ -405,7 +405,11 @@ def _sweep_values(args: argparse.Namespace) -> Sequence:
             )
         return read_dataset_csv(args.dataset)
     if args.values is not None:
-        return [float(token) for token in args.values.split(",") if token]
+        tokens = [token for token in args.values.split(",") if token]
+        try:
+            return [float(token) for token in tokens]
+        except ValueError as exc:
+            raise ParameterError("values", str(exc)) from None
     if None in (args.start, args.stop, args.points):
         raise ParameterError(
             "values",
@@ -427,7 +431,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values,
             regime=args.regime,
             block_size=args.block_size,
-            max_workers=_resolve_threads(args),
         )
         positive = sum(row.report.positive for row in rows)
         _print(f"swept {len(rows)} points on axis {args.axis}")
@@ -823,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--regime", choices=("asymptotic", "finite"), default="asymptotic"
     )
     swp.add_argument("--block-size", type=float, metavar="N")
-    swp.add_argument("--threads", type=int, metavar="N")
     swp.add_argument("--out", required=True, metavar="DIR")
 
     sim = add(

@@ -11,17 +11,18 @@ renewal argument on the pulse grid; the classic continuous-rate correction
 ``rate / (1 + rate * dead_time)`` is kept as a public utility for aggregate
 rates.
 
-On top of the click model sit the asymptotic secret-key-bits-per-pulse
-evaluation, the finite-block bridge into :mod:`sps_bb84.finitekey`, the
-maximum-tolerable-loss solver, the operating-point optimizer, and the sweep
-drivers with CSV emission.
+On top of the click model sits :func:`skb_per_pulse`, the one secret-key
+evaluator: a single click-model pass per operating point feeds either the
+asymptotic formula or the finite-block bridge into
+:mod:`sps_bb84.finitekey`.  The maximum-tolerable-loss solver, the
+operating-point optimizer and the serial sweep driver with CSV emission
+all evaluate through it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Mapping, Sequence
@@ -48,9 +49,7 @@ __all__ = [
     "click_terms",
     "click_probability",
     "qber_total",
-    "asymptotic_skb_per_pulse",
     "finite_block_input",
-    "finite_skb_report",
     "skb_per_pulse",
     "max_tolerable_loss",
     "optimize_operating_point",
@@ -82,6 +81,11 @@ class ClickTerms:
         Fraction of candidate clicks that survive detector recovery.
     corrected
         ``raw * dead_time_factor`` — the detection probability per pulse.
+    qber
+        Total error rate among detections.  Misalignment flips signal
+        detections; dark counts land on a random port and err half the
+        time.  When no click mechanism is active the uninformative rate
+        0.5 is reported.
     """
 
     signal: float
@@ -89,6 +93,7 @@ class ClickTerms:
     raw: float
     dead_time_factor: float
     corrected: float
+    qber: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,12 +206,21 @@ def click_terms(op: OperatingPoint) -> ClickTerms:
     )
     per_detector = p_raw / link.detector_count
     dead_factor = 1.0 / (1.0 + per_detector * blocked)
+    if p_raw <= 0.0:
+        qber = 0.5
+    else:
+        errors = (
+            link.misalignment_prob * p_signal
+            + 0.5 * p_dark * (1.0 - p_signal)
+        )
+        qber = min(0.5, errors / p_raw)
     return ClickTerms(
         signal=p_signal,
         dark_total=p_dark,
         raw=p_raw,
         dead_time_factor=dead_factor,
         corrected=p_raw * dead_factor,
+        qber=qber,
     )
 
 
@@ -216,72 +230,45 @@ def click_probability(op: OperatingPoint) -> float:
 
 
 def qber_total(op: OperatingPoint) -> float:
-    """Total error rate among detections.
-
-    Misalignment flips signal detections; dark counts land on a random
-    port and err half the time.  When no click mechanism is active the
-    uninformative rate 0.5 is reported.
-    """
-    terms = click_terms(op)
-    if terms.raw <= 0.0:
-        return 0.5
-    p_mis = op.link.misalignment_prob
-    errors = (
-        p_mis * terms.signal
-        + 0.5 * terms.dark_total * (1.0 - terms.signal)
-    )
-    return min(0.5, errors / terms.raw)
+    """Total error rate among detections (see :class:`ClickTerms`)."""
+    return click_terms(op).qber
 
 
 # ---------------------------------------------------------------------------
 # secret-key evaluation
 # ---------------------------------------------------------------------------
 
-def asymptotic_skb_per_pulse(op: OperatingPoint) -> KeyRateReport:
-    """Asymptotic secret key bits per clock pulse.
-
-    Evaluates  p_sift * { p_c1 * [1 − h(e1)] − f * p_c * h(e_tot) }  with
-    the single-photon click floor p_c1 = max(0, p_c − p_m) and all errors
-    conservatively attributed to single-photon detections,
-    e1 = min(0.5, e_tot * p_c / p_c1), clamping the result at zero.
-    """
-    terms = click_terms(op)
-    p_c = terms.corrected
-    p_m = multiphoton_bound(
+def _multiphoton(op: OperatingPoint) -> float:
+    return multiphoton_bound(
         op.source, "channel_input", op.link.transmitter_efficiency
     )
-    e_tot = qber_total(op)
-    p_c1 = max(0.0, p_c - p_m)
-    if p_c1 <= 0.0:
-        return KeyRateReport(
-            p_c=p_c,
-            p_m=p_m,
-            p_c1_lower=0.0,
-            e_tot=e_tot,
-            e1_upper=0.5,
-            skb_per_pulse=0.0,
-            skr=0.0,
-            regime="asymptotic",
-            positive=False,
-        )
-    e1 = min(0.5, e_tot * p_c / p_c1)
-    p_sift = op.protocol.sift_probability
-    f_ec = op.protocol.error_correction_inefficiency
-    skb = p_sift * (
-        p_c1 * (1.0 - float(binary_entropy(e1)))
-        - f_ec * p_c * float(binary_entropy(e_tot))
-    )
-    skb = max(0.0, skb)
-    return KeyRateReport(
-        p_c=p_c,
-        p_m=p_m,
-        p_c1_lower=p_c1,
-        e_tot=e_tot,
-        e1_upper=e1,
-        skb_per_pulse=skb,
-        skr=skb * op.protocol.clock_rate,
-        regime="asymptotic",
-        positive=skb > 0.0,
+
+
+def _block_input(
+    op: OperatingPoint,
+    terms: ClickTerms,
+    p_m: float,
+    block_size: float | None,
+) -> FiniteBlockInput:
+    n_z = float(block_size if block_size is not None else op.protocol.block_size)
+    _require(n_z >= 1.0, "block_size", "must be >= 1")
+    p_c = terms.corrected
+    if p_c <= 0.0:
+        raise NoPositiveKeyError("no clicks at this operating point")
+    p_x = op.protocol.basis_bias
+    n_x = n_z * (p_x / (1.0 - p_x)) ** 2
+    n_sent = n_z / (p_c * (1.0 - p_x) ** 2)
+    return FiniteBlockInput(
+        n_x=n_x,
+        n_z=n_z,
+        observed_error_x=terms.qber,
+        observed_error_z=terms.qber,
+        n_sent=n_sent,
+        budget=op.budget,
+        f_ec=op.protocol.error_correction_inefficiency,
+        clock_rate=op.protocol.clock_rate,
+        acquisition_time=n_sent / op.protocol.clock_rate,
+        multiphoton_prob=p_m,
     )
 
 
@@ -294,49 +281,49 @@ def finite_block_input(
     pulse budget follows from the click probability and basis bias, and
     the analytic error rate stands in for both observed rates.
     """
-    n_z = float(block_size if block_size is not None else op.protocol.block_size)
-    _require(n_z >= 1.0, "block_size", "must be >= 1")
-    p_c = click_probability(op)
-    if p_c <= 0.0:
-        raise NoPositiveKeyError("no clicks at this operating point")
-    e_tot = qber_total(op)
-    p_x = op.protocol.basis_bias
-    n_x = n_z * (p_x / (1.0 - p_x)) ** 2
-    n_sent = n_z / (p_c * (1.0 - p_x) ** 2)
-    p_m = multiphoton_bound(
-        op.source, "channel_input", op.link.transmitter_efficiency
-    )
-    return FiniteBlockInput(
-        n_x=n_x,
-        n_z=n_z,
-        observed_error_x=e_tot,
-        observed_error_z=e_tot,
-        n_sent=n_sent,
-        budget=op.budget,
-        f_ec=op.protocol.error_correction_inefficiency,
-        clock_rate=op.protocol.clock_rate,
-        acquisition_time=n_sent / op.protocol.clock_rate,
-        multiphoton_prob=p_m,
-    )
+    return _block_input(op, click_terms(op), _multiphoton(op), block_size)
 
 
-def finite_skb_report(
-    op: OperatingPoint, block_size: float | None = None
+def skb_per_pulse(
+    op: OperatingPoint,
+    regime: Regime = "asymptotic",
+    block_size: float | None = None,
 ) -> KeyRateReport:
-    """Finite-block secret key bits per pulse at one operating point."""
+    """Secret key bits per clock pulse in the asymptotic or finite regime.
+
+    Both regimes share one click-model pass.  The single-photon click
+    floor is p_c1 = max(0, p_c − p_m), and all errors are conservatively
+    attributed to single-photon detections, e1 = min(0.5, e_tot * p_c /
+    p_c1) (0.5 when p_c1 = 0).  The asymptotic regime evaluates
+    p_sift * { p_c1 * [1 − h(e1)] − f * p_c * h(e_tot) }, clamped at zero.
+    The finite regime bounds the block predicted by
+    :func:`finite_block_input`; a point without clicks has no finite
+    report and zero key.
+    """
+    if regime not in ("asymptotic", "finite"):
+        raise ParameterError("regime", "must be 'asymptotic' or 'finite'")
     terms = click_terms(op)
-    p_c = terms.corrected
-    p_m = multiphoton_bound(
-        op.source, "channel_input", op.link.transmitter_efficiency
-    )
-    e_tot = qber_total(op)
+    p_c, e_tot = terms.corrected, terms.qber
+    p_m = _multiphoton(op)
     p_c1 = max(0.0, p_c - p_m)
     e1 = min(0.5, e_tot * p_c / p_c1) if p_c1 > 0.0 else 0.5
-    try:
-        finite = finite_skb_per_pulse(finite_block_input(op, block_size))
-    except NoPositiveKeyError:
-        finite = None
-    skb = finite.skb_per_pulse if finite is not None else 0.0
+    skb, finite = 0.0, None
+    if regime == "finite":
+        try:
+            block = _block_input(op, terms, p_m, block_size)
+        except NoPositiveKeyError:
+            pass
+        else:
+            finite = finite_skb_per_pulse(block)
+            skb = finite.skb_per_pulse
+    elif p_c1 > 0.0:
+        p_sift = op.protocol.sift_probability
+        f_ec = op.protocol.error_correction_inefficiency
+        skb = p_sift * (
+            p_c1 * (1.0 - float(binary_entropy(e1)))
+            - f_ec * p_c * float(binary_entropy(e_tot))
+        )
+        skb = max(0.0, skb)
     return KeyRateReport(
         p_c=p_c,
         p_m=p_m,
@@ -345,23 +332,10 @@ def finite_skb_report(
         e1_upper=e1,
         skb_per_pulse=skb,
         skr=skb * op.protocol.clock_rate,
-        regime="finite",
+        regime=regime,
         positive=skb > 0.0,
         finite=finite,
     )
-
-
-def skb_per_pulse(
-    op: OperatingPoint,
-    regime: Regime = "asymptotic",
-    block_size: float | None = None,
-) -> KeyRateReport:
-    """Dispatch to the asymptotic or finite evaluation."""
-    if regime == "asymptotic":
-        return asymptotic_skb_per_pulse(op)
-    if regime == "finite":
-        return finite_skb_report(op, block_size)
-    raise ParameterError("regime", "must be 'asymptotic' or 'finite'")
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +514,8 @@ def sweep(
     values: Sequence,
     regime: Regime = "asymptotic",
     block_size: float | None = None,
-    max_workers: int | None = None,
 ) -> list[SweepRow]:
-    """Evaluate the key rate over a grid, in parallel, in grid order.
+    """Evaluate the key rate over a grid, in grid order.
 
     ``loss`` sweeps channel loss in dB; ``clock_rate`` sweeps the clock in
     Hz; ``dataset`` re-evaluates ingested source rows (mappings with keys
@@ -568,16 +541,13 @@ def sweep(
                     _dataset_point(op, value, index),
                 )
             )
-
-    def evaluate(point: OperatingPoint) -> KeyRateReport:
-        return skb_per_pulse(point, regime, block_size)
-
-    workers = max_workers if max_workers and max_workers > 0 else 4
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(evaluate, (p for _, p in points)))
     return [
-        SweepRow(axis=axis, value=value, report=report)
-        for (value, _), report in zip(points, reports)
+        SweepRow(
+            axis=axis,
+            value=value,
+            report=skb_per_pulse(point, regime, block_size),
+        )
+        for value, point in points
     ]
 
 

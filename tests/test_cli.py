@@ -98,12 +98,13 @@ class TestParsing:
         )
         assert "not found" in capsys.readouterr().err
 
+    # only simulate honours --threads and the thread environment variable
     def test_thread_count_must_be_positive(self, tmp_path, capsys):
         code = main(
             [
-                "sweep",
-                "--values",
-                "1,2",
+                "simulate",
+                "--pulses",
+                "1000",
                 "--threads",
                 "0",
                 "--out",
@@ -111,14 +112,14 @@ class TestParsing:
             ]
         )
         assert code == EXIT_VALIDATION
-        assert "threads" in capsys.readouterr().err
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_thread_env_var_must_be_integer(
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv(THREADS_ENV, "lots")
         code = main(
-            ["sweep", "--values", "1,2", "--out", str(tmp_path / "s")]
+            ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s")]
         )
         assert code == EXIT_VALIDATION
         assert THREADS_ENV in capsys.readouterr().err
@@ -128,7 +129,7 @@ class TestParsing:
     ):
         monkeypatch.setenv(THREADS_ENV, "2")
         code = main(
-            ["sweep", "--values", "10,20", "--out", str(tmp_path / "s")]
+            ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s")]
         )
         assert code == EXIT_OK
 
@@ -318,6 +319,13 @@ class TestSweep:
             == EXIT_VALIDATION
         )
         assert "--values" in capsys.readouterr().err
+
+    def test_non_numeric_value_is_validation_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "s"
+        code = main(["sweep", "--values", "1,abc", "--out", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert "'abc'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_dataset_axis(self, tmp_path, capsys):
         dataset = tmp_path / "sources.csv"

@@ -5,16 +5,15 @@ import math
 
 import pytest
 
+from sps_bb84 import keyrate
 from sps_bb84.finitekey import chernoff_upper
 from sps_bb84.keyrate import (
     NoPositiveKeyError,
-    asymptotic_skb_per_pulse,
     click_probability,
     click_terms,
     emission_capture_fraction,
     expected_blocked_windows,
     finite_block_input,
-    finite_skb_report,
     max_tolerable_loss,
     multiphoton_bound,
     optimize_operating_point,
@@ -219,7 +218,7 @@ def test_qber_monotone_in_loss():
 # ---------------------------------------------------------------------------
 
 def test_asymptotic_skb_frozen_table_value():
-    report = asymptotic_skb_per_pulse(TABLE_POINT)
+    report = skb_per_pulse(TABLE_POINT)
     assert report.positive
     assert report.skb_per_pulse == pytest.approx(
         3.766960623385881e-5, rel=1e-12
@@ -231,13 +230,13 @@ def test_asymptotic_skb_frozen_table_value():
 
 def test_asymptotic_skb_noiseless_limit_is_sifted_click_rate():
     point = clean_point()
-    report = asymptotic_skb_per_pulse(point)
+    report = skb_per_pulse(point)
     expected = 0.5 * click_probability(point)
     assert report.skb_per_pulse == pytest.approx(expected, rel=1e-12)
 
 
 def test_asymptotic_single_photon_error_inflation():
-    report = asymptotic_skb_per_pulse(TABLE_POINT)
+    report = skb_per_pulse(TABLE_POINT)
     assert report.e1_upper > report.e_tot
     assert report.e1_upper == pytest.approx(
         report.e_tot * report.p_c / report.p_c1_lower, rel=1e-12
@@ -245,7 +244,7 @@ def test_asymptotic_single_photon_error_inflation():
 
 
 def test_asymptotic_zero_key_when_multiphoton_exceeds_clicks():
-    report = asymptotic_skb_per_pulse(TABLE_POINT.with_loss(60.0))
+    report = skb_per_pulse(TABLE_POINT.with_loss(60.0))
     assert not report.positive
     assert report.skb_per_pulse == 0.0
     assert report.e1_upper == 0.5
@@ -253,7 +252,7 @@ def test_asymptotic_zero_key_when_multiphoton_exceeds_clicks():
 
 def test_asymptotic_zero_key_from_strong_multiphoton():
     source = SourceModel(g2_zero=0.1)
-    report = asymptotic_skb_per_pulse(
+    report = skb_per_pulse(
         OperatingPoint(source=source)
     )
     assert not report.positive
@@ -261,7 +260,7 @@ def test_asymptotic_zero_key_from_strong_multiphoton():
 
 def test_asymptotic_sensitivity_to_g2():
     values = [
-        asymptotic_skb_per_pulse(
+        skb_per_pulse(
             OperatingPoint(source=SourceModel(g2_zero=g2))
         ).skb_per_pulse
         for g2 in (0.0, 0.0243, 0.05)
@@ -276,13 +275,13 @@ def test_asymptotic_sensitivity_to_darks_and_misalignment():
     low_dark = OperatingPoint(link=LinkModel(dark_count_prob=1e-7))
     high_dark = OperatingPoint(link=LinkModel(dark_count_prob=5e-6))
     miserr = OperatingPoint(link=LinkModel(misalignment_prob=5e-3))
-    assert asymptotic_skb_per_pulse(low_dark).skb_per_pulse == pytest.approx(
+    assert skb_per_pulse(low_dark).skb_per_pulse == pytest.approx(
         4.094e-5, rel=1e-3
     )
-    assert asymptotic_skb_per_pulse(high_dark).skb_per_pulse == pytest.approx(
+    assert skb_per_pulse(high_dark).skb_per_pulse == pytest.approx(
         2.557e-5, rel=1e-3
     )
-    assert asymptotic_skb_per_pulse(miserr).skb_per_pulse == pytest.approx(
+    assert skb_per_pulse(miserr).skb_per_pulse == pytest.approx(
         3.278e-5, rel=1e-3
     )
 
@@ -318,7 +317,7 @@ def test_finite_block_input_raises_without_clicks():
 
 
 def test_finite_skb_frozen_table_value():
-    report = finite_skb_report(TABLE_POINT, block_size=1e8)
+    report = skb_per_pulse(TABLE_POINT, "finite", block_size=1e8)
     assert report.finite is not None
     assert report.skb_per_pulse == pytest.approx(
         3.740546732835101e-5, rel=1e-12
@@ -335,10 +334,12 @@ def test_finite_skb_frozen_table_value():
 
 
 def test_finite_skb_below_asymptotic_and_converging():
-    asym = asymptotic_skb_per_pulse(TABLE_POINT).skb_per_pulse
+    asym = skb_per_pulse(TABLE_POINT).skb_per_pulse
     gaps = []
     for n_z in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10):
-        fin = finite_skb_report(TABLE_POINT, block_size=n_z).skb_per_pulse
+        fin = skb_per_pulse(
+            TABLE_POINT, "finite", block_size=n_z
+        ).skb_per_pulse
         gaps.append(asym - fin)
     assert all(gap > 0 for gap in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -346,7 +347,9 @@ def test_finite_skb_below_asymptotic_and_converging():
 
 
 def test_finite_skb_zero_for_tiny_block_at_high_loss():
-    report = finite_skb_report(TABLE_POINT.with_loss(25.51), block_size=1e3)
+    report = skb_per_pulse(
+        TABLE_POINT.with_loss(25.51), "finite", block_size=1e3
+    )
     assert report.skb_per_pulse == 0.0
     assert not report.positive
 
@@ -359,6 +362,42 @@ def test_skb_dispatcher_regimes():
     assert fin.skb_per_pulse < asym.skb_per_pulse
     with pytest.raises(ParameterError):
         skb_per_pulse(TABLE_POINT, regime="exact")
+
+
+# dark-free at 200 dB: the signal click probability rounds the raw click
+# probability to exactly zero
+NO_CLICK_POINT = OperatingPoint(
+    link=LinkModel(dark_count_prob=0.0, channel_loss_db=200.0)
+)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        TABLE_POINT,
+        lossless_point(),
+        NO_CLICK_POINT,
+        TABLE_POINT.with_loss(60.0),  # p_c1 = 0
+    ],
+    ids=["table", "lossless", "no_clicks", "no_single_photon_floor"],
+)
+def test_regimes_share_the_click_model_fields(point):
+    asym = skb_per_pulse(point)
+    fin = skb_per_pulse(point, "finite", block_size=1e8)
+    for name in ("p_c", "p_m", "p_c1_lower", "e_tot", "e1_upper"):
+        assert getattr(fin, name) == getattr(asym, name), name
+    assert click_terms(point).qber == qber_total(point)
+
+
+def test_finite_without_clicks_reports_zero_key():
+    assert click_probability(NO_CLICK_POINT) == 0.0
+    report = skb_per_pulse(NO_CLICK_POINT, "finite", block_size=1e8)
+    assert report.finite is None
+    assert report.skb_per_pulse == 0.0
+    assert not report.positive
+    # the block size is validated before the click check
+    with pytest.raises(ParameterError):
+        skb_per_pulse(NO_CLICK_POINT, "finite", block_size=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +429,8 @@ def test_max_tolerable_loss_ordering():
 
 def test_max_tolerable_loss_sign_bracketing():
     mtl = max_tolerable_loss(TABLE_POINT, regime="asymptotic")
-    before = asymptotic_skb_per_pulse(TABLE_POINT.with_loss(mtl - 0.05))
-    after = asymptotic_skb_per_pulse(TABLE_POINT.with_loss(mtl + 0.05))
+    before = skb_per_pulse(TABLE_POINT.with_loss(mtl - 0.05))
+    after = skb_per_pulse(TABLE_POINT.with_loss(mtl + 0.05))
     assert before.positive
     assert not after.positive
 
@@ -426,7 +465,7 @@ def test_optimizer_keeps_full_brightness_on_clean_link():
 def test_optimizer_never_worse_than_input():
     for loss in (10.0, 25.49, 28.5):
         point = TABLE_POINT.with_loss(loss)
-        base = asymptotic_skb_per_pulse(point).skb_per_pulse
+        base = skb_per_pulse(point).skb_per_pulse
         _, report = optimize_operating_point(
             point, free=("pre_attenuation",), regime="asymptotic"
         )
@@ -436,7 +475,7 @@ def test_optimizer_never_worse_than_input():
 def test_optimizer_extends_reach_past_passive_cutoff():
     # beyond the fixed-brightness cutoff, damping the source restores key
     point = TABLE_POINT.with_loss(30.5)
-    assert not asymptotic_skb_per_pulse(point).positive
+    assert not skb_per_pulse(point).positive
     best, report = optimize_operating_point(
         point, free=("pre_attenuation",), regime="asymptotic"
     )
@@ -446,7 +485,7 @@ def test_optimizer_extends_reach_past_passive_cutoff():
 
 def test_optimizer_biased_basis_helps_small_finite_blocks():
     point = TABLE_POINT.with_loss(28.5)
-    base = finite_skb_report(point, block_size=1e5).skb_per_pulse
+    base = skb_per_pulse(point, "finite", block_size=1e5).skb_per_pulse
     assert base == pytest.approx(2.542525e-6, rel=1e-3)
     best, report = optimize_operating_point(
         point, free=("basis_bias",), regime="finite", block_size=1e5
@@ -463,6 +502,25 @@ def test_optimizer_rejects_unknown_parameter():
 # ---------------------------------------------------------------------------
 # sweeps and tabulation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+def test_sweep_runs_one_click_model_pass_per_point(monkeypatch, regime):
+    calls = []
+    original = keyrate.click_terms
+
+    def counting(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(keyrate, "click_terms", counting)
+    values = [0.0, 10.0, 25.49, 60.0, 200.0]
+    rows = sweep(
+        TABLE_POINT, axis="loss", values=values, regime=regime,
+        block_size=1e8,
+    )
+    assert len(rows) == len(values)
+    assert len(calls) == len(values)
+
 
 def test_sweep_loss_axis_monotone():
     rows = sweep(TABLE_POINT, axis="loss", values=[0.0, 10.0, 20.0, 25.0])
