@@ -14,7 +14,6 @@ removed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -29,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from ._table import write_table
 from .keygen import (
     ReconciliationError,
     SessionAbort,
@@ -47,8 +47,6 @@ from .keyrate import (
     write_sweep_csv,
 )
 from .montecarlo import (
-    CHANNEL_NAMES,
-    CHANNEL_REFERENCE,
     NO_TRUTH_STATE,
     Scenario,
     read_tags,
@@ -145,9 +143,10 @@ class RunDirectory:
     """Collects a command's output files and writes the manifest.
 
     The target directory must be new or empty so that every file under a
-    run directory is listed in exactly one manifest.  ``discard``
-    removes everything registered so far — called when a command aborts
-    partway, leaving no partial outputs behind.
+    run directory is listed in exactly one manifest.  Used as a context
+    manager, it removes everything registered so far when the block
+    raises, so a command that aborts partway leaves no partial outputs
+    behind; ``finalize`` is called explicitly on success.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -173,7 +172,12 @@ class RunDirectory:
         self._outputs.append(target)
         return target
 
-    def discard(self) -> None:
+    def __enter__(self) -> "RunDirectory":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            return
         for target in self._outputs:
             target.unlink(missing_ok=True)
         manifest = self.path / MANIFEST_NAME
@@ -182,35 +186,32 @@ class RunDirectory:
             self.path.rmdir()
 
     def finalize(
-        self,
-        command: str,
-        scenario_path: str | None,
-        scenario_name: str,
-        seed: int | None,
-    ) -> Path:
-        outputs = []
-        for target in self._outputs:
-            outputs.append(
-                {
-                    "name": target.name,
-                    "bytes": target.stat().st_size,
-                    "sha256": _sha256(target),
-                }
-            )
+        self, args: argparse.Namespace, scenario_name: str, seed: int | None
+    ) -> None:
+        """Write the manifest of the command ``args`` ran."""
+        outputs = [
+            {
+                "name": target.name,
+                "bytes": target.stat().st_size,
+                "sha256": _sha256(target),
+            }
+            for target in self._outputs
+        ]
+        scenario = args.scenario
         manifest = {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": __version__,
-            "command": command,
-            "scenario_path": scenario_path,
+            "command": args.command,
+            "scenario_path": (
+                None if scenario is None else str(Path(scenario).resolve())
+            ),
             "scenario_name": scenario_name,
             "seed": seed,
             "output_dir": str(self.path.resolve()),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": outputs,
         }
-        target = self.path / MANIFEST_NAME
-        target.write_text(json.dumps(manifest, indent=2) + "\n")
-        return target
+        _write_json(self.path / MANIFEST_NAME, manifest)
 
 
 def _check_disk_space(directory: Path, needed_bytes: float) -> None:
@@ -231,12 +232,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario is not None:
         return load_scenario(args.scenario)
     return ScenarioConfig()
-
-
-def _scenario_path(args: argparse.Namespace) -> str | None:
-    if args.scenario is None:
-        return None
-    return str(Path(args.scenario).resolve())
 
 
 def _resolve_threads(args: argparse.Namespace) -> int | None:
@@ -309,20 +304,10 @@ def _cmd_keyrate(args: argparse.Namespace) -> int:
     _print(f"positive            {report.positive}")
 
     if args.out is not None:
-        run = RunDirectory(args.out)
-        try:
-            row = SweepRow(
-                axis="loss",
-                value=point.link.channel_loss_db,
-                report=report,
-            )
+        with RunDirectory(args.out) as run:
+            row = SweepRow("loss", point.link.channel_loss_db, report)
             write_sweep_csv([row], run.file("keyrate.csv"))
-            run.finalize(
-                "keyrate", _scenario_path(args), config.name, None
-            )
-        except BaseException:
-            run.discard()
-            raise
+            run.finalize(args, config.name, None)
     return EXIT_OK if report.positive else EXIT_ZERO_KEY
 
 
@@ -363,33 +348,18 @@ def _cmd_mtl(args: argparse.Namespace) -> int:
         else:
             loss = max_tolerable_loss(point, "finite", block)
         length = loss_to_length(loss, point.link.fibre_attenuation)
-        rows.append((label, block, loss, length))
+        block_text = "" if block is None else f"{block:.6e}"
+        rows.append([label, block_text, f"{loss:.6f}", f"{length:.6f}"])
         _print(
             f"regime {label:>12}  mtl_db {loss:8.3f}  length_km "
             f"{length:8.2f}"
         )
 
     if args.out is not None:
-        run = RunDirectory(args.out)
-        try:
-            with open(run.file("mtl.csv"), "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(
-                    ["regime", "block_size", "mtl_db", "length_km"]
-                )
-                for label, block, loss, length in rows:
-                    writer.writerow(
-                        [
-                            label,
-                            "" if block is None else f"{block:.6e}",
-                            f"{loss:.6f}",
-                            f"{length:.6f}",
-                        ]
-                    )
-            run.finalize("mtl", _scenario_path(args), config.name, None)
-        except BaseException:
-            run.discard()
-            raise
+        with RunDirectory(args.out) as run:
+            header = ("regime", "block_size", "mtl_db", "length_km")
+            write_table(run.file("mtl.csv"), header, rows)
+            run.finalize(args, config.name, None)
     return EXIT_OK
 
 
@@ -423,8 +393,7 @@ def _sweep_values(args: argparse.Namespace) -> Sequence:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     values = _sweep_values(args)
-    run = RunDirectory(args.out)
-    try:
+    with RunDirectory(args.out) as run:
         rows = sweep(
             config.point,
             args.axis,
@@ -436,10 +405,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _print(f"swept {len(rows)} points on axis {args.axis}")
         _print(f"positive_points     {positive}")
         write_sweep_csv(rows, run.file("sweep.csv"))
-        run.finalize("sweep", _scenario_path(args), config.name, None)
-    except BaseException:
-        run.discard()
-        raise
+        run.finalize(args, config.name, None)
     return EXIT_OK
 
 
@@ -452,8 +418,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _build_scenario(config, args)
     threads = _resolve_threads(args)
 
-    run = RunDirectory(args.out)
-    try:
+    with RunDirectory(args.out) as run:
         if args.g2:
             histogram = simulate_g2_histogram(
                 scenario,
@@ -486,12 +451,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"simulated {scenario.n_pulses} pulses -> "
                 f"{len(stream)} detector tags"
             )
-        run.finalize(
-            "simulate", _scenario_path(args), config.name, scenario.seed
-        )
-    except BaseException:
-        run.discard()
-        raise
+        run.finalize(args, config.name, scenario.seed)
     return EXIT_OK
 
 
@@ -511,9 +471,7 @@ def _read_stream(path: Path):
 
 def _truth_error_fraction(stream) -> tuple[int, int]:
     """(matched-basis photon tags, errors among them) from truth labels."""
-    labelled = (~stream.dark) & (stream.truth_state != NO_TRUTH_STATE)
-    detector = stream.channel != CHANNEL_REFERENCE
-    use = labelled & detector
+    use = (~stream.dark) & (stream.truth_state != NO_TRUTH_STATE)
     channel = stream.channel[use]
     truth = stream.truth_state[use]
     matched = (channel >> 1) == (truth >> 1)
@@ -524,8 +482,7 @@ def _truth_error_fraction(stream) -> tuple[int, int]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     point = config.point
-    run = RunDirectory(args.out)
-    try:
+    with RunDirectory(args.out) as run:
         stream = _read_stream(Path(args.tags))
         if len(stream) == 0:
             raise ParameterError(
@@ -601,10 +558,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
         write_histogram_csv(response, run.file("response_histogram.csv"))
         _write_json(run.file("report.json"), report)
-        run.finalize("analyze", _scenario_path(args), config.name, None)
-    except BaseException:
-        run.discard()
-        raise
+        run.finalize(args, config.name, None)
     return EXIT_OK
 
 
@@ -616,8 +570,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario = _build_scenario(config, args)
     policy = SessionPolicy(disclose_fraction=args.disclose)
-    run = RunDirectory(args.out)
-    try:
+    with RunDirectory(args.out) as run:
         result = run_session(scenario, policy)
         ledger = result.ledger
 
@@ -659,12 +612,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
             ("key_bob.bin", result.bob_key),
         ):
             run.file(name).write_bytes(np.packbits(key).tobytes())
-        run.finalize(
-            "session", _scenario_path(args), config.name, scenario.seed
-        )
-    except BaseException:
-        run.discard()
-        raise
+        run.finalize(args, config.name, scenario.seed)
     return EXIT_OK if ledger.final_length > 0 else EXIT_ZERO_KEY
 
 
@@ -751,17 +699,11 @@ def _cmd_polcomp(args: argparse.Namespace) -> int:
             f"{payload['tracking']['max_residual']:.6e}"
         )
 
-    run = RunDirectory(args.out)
-    try:
+    with RunDirectory(args.out) as run:
         _write_json(run.file("compensation.json"), payload)
         if trace is not None:
             write_trace_csv(trace, run.file("trace.csv"))
-        run.finalize(
-            "polcomp", _scenario_path(args), config.name, args.drift_seed
-        )
-    except BaseException:
-        run.discard()
-        raise
+        run.finalize(args, config.name, args.drift_seed)
     return EXIT_OK
 
 
@@ -890,10 +832,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VALIDATION
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParameterError as exc:
+    except (_UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NoPositiveKeyError as exc:

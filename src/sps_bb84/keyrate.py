@@ -15,18 +15,19 @@ On top of the click model sits :func:`skb_per_pulse`, the one secret-key
 evaluator: a single click-model pass per operating point feeds either the
 asymptotic formula or the finite-block bridge into
 :mod:`sps_bb84.finitekey`.  The maximum-tolerable-loss solver, the
-operating-point optimizer and the serial sweep driver with CSV emission
-all evaluate through it.
+operating-point optimizer and the serial sweep driver all evaluate
+through it; sweep rows are written, and source datasets read, through
+the package's one CSV table codec.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
+from ._table import read_table, write_table
 from .finitekey import FiniteBlockInput, FiniteKeyReport, finite_skb_per_pulse
 from .params import (
     OperatingPoint,
@@ -572,67 +573,42 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Write sweep rows as CSV; finite-regime rows carry extra columns."""
     has_finite = any(row.report.finite is not None for row in rows)
     columns = _SWEEP_COLUMNS + (_FINITE_COLUMNS if has_finite else ())
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            r = row.report
-            record = [
-                row.value,
-                f"{r.p_c:.10e}",
-                f"{r.p_m:.10e}",
-                f"{r.e_tot:.10e}",
-                f"{r.skb_per_pulse:.10e}",
-                f"{r.skr:.6f}",
-                r.regime,
-            ]
-            if has_finite:
-                if r.finite is None:
-                    record.extend(["", "", "", ""])
-                else:
-                    record.extend(
-                        [
-                            f"{r.finite.n_nmp_lower:.6f}",
-                            f"{r.finite.phase_error_upper:.10e}",
-                            f"{r.finite.lambda_ec:.6f}",
-                            str(r.finite.final_key_length),
-                        ]
-                    )
-            writer.writerow(record)
+    records = []
+    for row in rows:
+        r = row.report
+        record = [
+            row.value,
+            f"{r.p_c:.10e}",
+            f"{r.p_m:.10e}",
+            f"{r.e_tot:.10e}",
+            f"{r.skb_per_pulse:.10e}",
+            f"{r.skr:.6f}",
+            r.regime,
+        ]
+        if has_finite:
+            if r.finite is None:
+                record.extend(["", "", "", ""])
+            else:
+                record.extend(
+                    [
+                        f"{r.finite.n_nmp_lower:.6f}",
+                        f"{r.finite.phase_error_upper:.10e}",
+                        f"{r.finite.lambda_ec:.6f}",
+                        str(r.finite.final_key_length),
+                    ]
+                )
+        records.append(record)
+    write_table(path, columns, records)
+
+
+_DATASET_COLUMNS = ("label", "mean_photon_number", "g2_zero")
 
 
 def read_dataset_csv(path: str | Path) -> list[dict[str, str | float]]:
     """Read labelled source rows (label, mean_photon_number, g2_zero)."""
-    rows: list[dict[str, str | float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParameterError("dataset", "dataset CSV is empty")
-        expected = ["label", "mean_photon_number", "g2_zero"]
-        if [c.strip() for c in header] != expected:
-            raise ParameterError(
-                "dataset", f"dataset CSV header must be {expected}"
-            )
-        for index, record in enumerate(reader):
-            if not record:
-                continue
-            if len(record) != 3:
-                raise ParameterError(
-                    f"dataset[{index}]", "expected 3 columns"
-                )
-            try:
-                rows.append(
-                    {
-                        "label": record[0],
-                        "mean_photon_number": float(record[1]),
-                        "g2_zero": float(record[2]),
-                    }
-                )
-            except ValueError as exc:
-                raise ParameterError(
-                    f"dataset[{index}]", f"non-numeric value: {exc}"
-                ) from exc
-    if not rows:
+    columns = read_table(
+        path, "dataset", _DATASET_COLUMNS, (str, float, float)
+    )
+    if not columns[0]:
         raise ParameterError("dataset", "dataset CSV has no data rows")
-    return rows
+    return [dict(zip(_DATASET_COLUMNS, row)) for row in zip(*columns)]

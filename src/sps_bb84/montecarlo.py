@@ -30,10 +30,10 @@ billion-pulse runs stay in memory; file exports materialize them.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +45,7 @@ from typing import (
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .params import (
     OperatingPoint,
     ParameterError,
@@ -112,7 +113,21 @@ _FLAG_PHOTONS_MASK = 0b0000_1100
 _FLAG_DARK = 0b0001_0000
 _FLAG_HAS_STATE = 0b0010_0000
 
-_CSV_HEADER = ["time_ps", "channel", "truth_state", "truth_photons", "dark"]
+_CSV_HEADER = ("time_ps", "channel", "truth_state", "truth_photons", "dark")
+#: CSV cell parsers; the last three give their columns' bits of the flags
+_CSV_PARSERS = (
+    np.int64,
+    {name: code for code, name in enumerate(CHANNEL_NAMES)}.__getitem__,
+    (
+        {"": 0}
+        | {
+            name: _FLAG_HAS_STATE | code
+            for code, name in enumerate(CHANNEL_NAMES[:CHANNEL_REFERENCE])
+        }
+    ).__getitem__,
+    {str(n): n << _FLAG_PHOTONS_SHIFT for n in range(4)}.__getitem__,
+    {"0": 0, "1": _FLAG_DARK}.__getitem__,
+)
 
 #: row layout of an exported transmitter record
 _ALICE_RECORD_DTYPE = np.dtype([("pulse", "<i8"), ("state", "u1")])
@@ -820,20 +835,31 @@ def read_tags(
     files written without them, pass ``n_pulses`` and ``period_ps``.
     """
     raw = np.fromfile(path, dtype=_RECORD_DTYPE)
+    size = Path(path).stat().st_size
+    _require(raw.nbytes == size, "tags", "file ends inside a record")
+    return _stream_from_records(raw, n_pulses, period_ps)
+
+
+def _stream_from_records(
+    raw: np.ndarray, n_pulses: int | None, period_ps: float | None
+) -> TagStream:
+    """Decode tag records of either file format into a stream."""
     is_ref = raw["channel"] == CHANNEL_REFERENCE
     n_ref = int(is_ref.sum())
     if n_ref >= 2:
         ref_times = raw["time_ps"][is_ref]
-        inferred_period = (ref_times[-1] - ref_times[0]) / (n_ref - 1)
         n_pulses = n_ref
-        period_ps = float(inferred_period)
+        period_ps = (int(ref_times[-1]) - int(ref_times[0])) / (n_ref - 1)
     elif n_pulses is None or period_ps is None:
         raise ParameterError(
             "tags",
             "tag file has no reference channel; pass n_pulses and "
             "period_ps explicitly",
         )
+    _require(period_ps > 0.0, "tags", "pulse period must be positive")
     det = raw[~is_ref]
+    known = det["channel"] < CHANNEL_REFERENCE
+    _require(bool(known.all()), "tags", "unknown channel code")
     flags = det["flags"]
     has_state = (flags & _FLAG_HAS_STATE) != 0
     truth_state = np.where(
@@ -856,24 +882,22 @@ def write_tags_csv(
     stream: TagStream, path: str | Path, include_reference: bool = True
 ) -> None:
     """Write the stream as CSV with channels and states as letters."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_HEADER)
-        for block in _iter_record_blocks(stream, include_reference):
-            for record in block:
-                flags = int(record["flags"])
-                has_state = bool(flags & _FLAG_HAS_STATE)
-                writer.writerow(
-                    [
-                        int(record["time_ps"]),
-                        CHANNEL_NAMES[int(record["channel"])],
-                        CHANNEL_NAMES[flags & _FLAG_STATE_MASK]
-                        if has_state
-                        else "",
-                        (flags & _FLAG_PHOTONS_MASK) >> _FLAG_PHOTONS_SHIFT,
-                        1 if flags & _FLAG_DARK else 0,
-                    ]
-                )
+    blocks = _iter_record_blocks(stream, include_reference)
+    write_table(path, _CSV_HEADER, chain.from_iterable(map(_csv_rows, blocks)))
+
+
+def _csv_rows(block: np.ndarray) -> Iterator[tuple]:
+    names = np.array(CHANNEL_NAMES)
+    flags = block["flags"]
+    return zip(
+        block["time_ps"].tolist(),
+        names[block["channel"]].tolist(),
+        np.where(
+            flags & _FLAG_HAS_STATE, names[flags & _FLAG_STATE_MASK], ""
+        ).tolist(),
+        ((flags & _FLAG_PHOTONS_MASK) >> _FLAG_PHOTONS_SHIFT).tolist(),
+        np.where(flags & _FLAG_DARK, 1, 0).tolist(),
+    )
 
 
 def read_tags_csv(
@@ -882,49 +906,13 @@ def read_tags_csv(
     period_ps: float | None = None,
 ) -> TagStream:
     """Read the CSV tag format back into a stream."""
-    channel_codes = {name: code for code, name in enumerate(CHANNEL_NAMES)}
-    times, channels, states, photons, darks = [], [], [], [], []
-    ref_times = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ParameterError(
-                "tags", f"tag CSV header must be {_CSV_HEADER}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParameterError("tags", "tag CSV rows need 5 columns")
-            code = channel_codes.get(row[1])
-            if code is None:
-                raise ParameterError("tags", f"unknown channel {row[1]!r}")
-            if code == CHANNEL_REFERENCE:
-                ref_times.append(int(row[0]))
-                continue
-            times.append(int(row[0]))
-            channels.append(code)
-            states.append(
-                channel_codes[row[2]] if row[2] else NO_TRUTH_STATE
-            )
-            photons.append(int(row[3]))
-            darks.append(row[4] == "1")
-    if len(ref_times) >= 2:
-        n_pulses = len(ref_times)
-        period_ps = (ref_times[-1] - ref_times[0]) / (n_pulses - 1)
-    elif n_pulses is None or period_ps is None:
-        raise ParameterError(
-            "tags",
-            "tag CSV has no reference channel; pass n_pulses and "
-            "period_ps explicitly",
-        )
-    return TagStream(
-        time_ps=np.asarray(times, dtype=np.int64),
-        channel=np.asarray(channels, dtype=np.uint8),
-        truth_state=np.asarray(states, dtype=np.uint8),
-        truth_photons=np.asarray(photons, dtype=np.uint8),
-        dark=np.asarray(darks, dtype=bool),
-        n_pulses=int(n_pulses),
-        period_ps=float(period_ps),
+    time_ps, channel, state, photons, dark = read_table(
+        path, "tags", _CSV_HEADER, _CSV_PARSERS
     )
+    raw = np.empty(len(time_ps), dtype=_RECORD_DTYPE)
+    raw["time_ps"] = time_ps
+    raw["channel"] = channel
+    raw["flags"] = np.bitwise_or.reduce(
+        np.array([state, photons, dark], dtype=np.uint8)
+    )
+    return _stream_from_records(raw, n_pulses, period_ps)

@@ -17,7 +17,6 @@ cover.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .keyrate import qber_total
 from .params import OperatingPoint, ParameterError, _require
 
@@ -515,51 +515,20 @@ def track_compensation(
 # trace export
 # ---------------------------------------------------------------------------
 
-_TRACE_HEADER = ["time_s", "drift_angle", "residual_qber", "probes_used"]
+_TRACE_HEADER = ("time_s", "drift_angle", "residual_qber", "probes_used")
 
 
 def write_trace_csv(trace: CompensationTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TRACE_HEADER)
-        for row in zip(
-            trace.time_s,
-            trace.drift_angle,
-            trace.residual_qber,
-            trace.probes_used,
-        ):
-            writer.writerow(
-                [
-                    f"{row[0]:.9g}",
-                    f"{row[1]:.9g}",
-                    f"{row[2]:.9g}",
-                    int(row[3]),
-                ]
-            )
+    floats = (trace.time_s, trace.drift_angle, trace.residual_qber)
+    rows = (
+        [*(f"{value:.9g}" for value in values), int(probes)]
+        for *values, probes in zip(*floats, trace.probes_used)
+    )
+    write_table(path, _TRACE_HEADER, rows)
 
 
 def read_trace_csv(path: str | Path) -> CompensationTrace:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _TRACE_HEADER:
-            raise ParameterError(
-                "trace",
-                "trace CSV header must be "
-                + ",".join(_TRACE_HEADER),
-            )
-        rows = [row for row in reader if row]
-    if not rows:
-        return CompensationTrace(
-            time_s=np.zeros(0),
-            drift_angle=np.zeros(0),
-            residual_qber=np.zeros(0),
-            probes_used=np.zeros(0, dtype=np.int64),
-        )
-    columns = list(zip(*rows))
-    return CompensationTrace(
-        time_s=np.array([float(v) for v in columns[0]]),
-        drift_angle=np.array([float(v) for v in columns[1]]),
-        residual_qber=np.array([float(v) for v in columns[2]]),
-        probes_used=np.array([int(v) for v in columns[3]]),
-    )
+    parsers = (float, float, float, np.int64)
+    columns = read_table(path, "trace", _TRACE_HEADER, parsers)
+    # the columns are the trace's fields in order; it sets their dtypes
+    return CompensationTrace(*columns)

@@ -15,7 +15,6 @@ like any other tail count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .keyrate import KeyRateReport, skb_per_pulse
 from .montecarlo import CHANNEL_REFERENCE, TagStream
 from .params import OperatingPoint, ParameterError, _require
@@ -540,48 +540,45 @@ def optimize_temporal_window(
 # CSV emission
 # ---------------------------------------------------------------------------
 
+_HISTOGRAM_COLUMNS = ("delay_ps", "counts")
+
+
 def write_histogram_csv(
     histogram: CorrelationHistogram, path: str | Path
 ) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["delay_ps", "counts"])
-        for center, count in zip(histogram.bin_centers(), histogram.counts):
-            writer.writerow([f"{center:.3f}", int(count)])
+    centers = [f"{center:.3f}" for center in histogram.bin_centers()]
+    counts = histogram.counts.tolist()
+    write_table(path, _HISTOGRAM_COLUMNS, zip(centers, counts))
 
 
 def read_histogram_csv(path: str | Path) -> CorrelationHistogram:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["delay_ps", "counts"]:
-            raise ParameterError(
-                "histogram", "histogram CSV header must be delay_ps,counts"
-            )
-        centers, counts = [], []
-        for row in reader:
-            if not row:
-                continue
-            centers.append(float(row[0]))
-            counts.append(int(row[1]))
+    centers, counts = read_table(
+        path, "histogram", _HISTOGRAM_COLUMNS, (float, np.int64)
+    )
     if len(centers) < 2:
         raise ParameterError(
             "histogram", "histogram CSV needs at least two bins"
         )
+    spacing = np.diff(centers)
+    # the writer rounds each centre to 0.001 ps, so the spacings of one
+    # histogram spread over up to 0.002 ps, plus float parsing slack
+    if not (spacing.min() > 0.0 and np.ptp(spacing) <= 2.5e-3):
+        raise ParameterError(
+            "histogram",
+            "bin centres must be strictly increasing and evenly spaced",
+        )
     width = centers[1] - centers[0]
     return CorrelationHistogram(
         bin_width_ps=width,
-        counts=np.asarray(counts, dtype=np.int64),
+        counts=np.array(counts, dtype=np.int64),
         origin_ps=centers[0] - 0.5 * width,
     )
 
 
 def write_truth_table_csv(table: TruthTable, path: str | Path) -> None:
     names = ("H", "V", "D", "A")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["encoded", *names])
-        for state, name in enumerate(names):
-            writer.writerow(
-                [name, *(f"{v:.9g}" for v in table.counts[state])]
-            )
+    rows = (
+        [name, *(f"{v:.9g}" for v in counts)]
+        for name, counts in zip(names, table.counts)
+    )
+    write_table(path, ["encoded", *names], rows)

@@ -465,6 +465,48 @@ class TestSimulateAnalyze:
         assert "empty" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "row", ["100,H,Q,1,0", "100.5,H,H,1,0"], ids=["state", "time"]
+    )
+    def test_analyze_malformed_tag_csv(self, tmp_path, capsys, row):
+        tags = tmp_path / "bad.csv"
+        tags.write_text(
+            "time_ps,channel,truth_state,truth_photons,dark\n"
+            f"0,REF,,0,0\n{row}\n4386,REF,,0,0\n"
+        )
+        out_dir = tmp_path / "ana"
+        code = main(["analyze", "--tags", str(tags), "--out", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert "tags[1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "body", ["5.000,1\n15.000,abc\n", "5.000,1\n15.000\n"],
+        ids=["count", "short"],
+    )
+    def test_analyze_malformed_g2_histogram(
+        self, tmp_path, loss10_scenario, sim10_dir, capsys, body
+    ):
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text("delay_ps,counts\n" + body)
+        out_dir = tmp_path / "ana"
+        code = main(
+            [
+                "analyze",
+                "--tags",
+                str(sim10_dir / "tags.bin"),
+                "--scenario",
+                str(loss10_scenario),
+                "--g2-histogram",
+                str(histogram),
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "histogram[1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_csv_tag_round_trip(self, tmp_path, loss10_scenario, capsys):
         sim_dir = tmp_path / "sim_csv"
         code = main(

@@ -509,3 +509,33 @@ def test_csv_round_trip(tmp_path):
     assert first_lines[0] == "time_ps,channel,truth_state,truth_photons,dark"
     # reference rows carry the channel letter and empty truth columns
     assert first_lines[1].split(",")[1] in ("H", "V", "D", "A", "REF")
+
+
+def test_csv_reference_ticks_must_advance(tmp_path):
+    from sps_bb84.montecarlo import read_tags_csv
+
+    path = tmp_path / "backwards.csv"
+    path.write_text(
+        "time_ps,channel,truth_state,truth_photons,dark\n"
+        "4386,REF,,0,0\n100,H,H,1,0\n0,REF,,0,0\n"
+    )
+    with pytest.raises(ParameterError, match="period"):
+        read_tags_csv(path)
+
+
+def test_binary_reader_rejects_truncated_and_unknown_records(tmp_path):
+    from sps_bb84.montecarlo import read_tags, write_tags
+
+    path = tmp_path / "tags.bin"
+    write_tags(run_small_stream(), path)
+    data = path.read_bytes()
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(data[:-3])
+    with pytest.raises(ParameterError, match="inside a record"):
+        read_tags(truncated)
+    records = np.frombuffer(data, dtype=np.uint8).reshape(-1, 10).copy()
+    records[records[:, 8] != 4, 8] = 9  # channel byte of each detector tag
+    unknown = tmp_path / "unknown.bin"
+    unknown.write_bytes(records.tobytes())
+    with pytest.raises(ParameterError, match="unknown channel"):
+        read_tags(unknown)

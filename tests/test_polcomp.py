@@ -496,6 +496,15 @@ class TestTraceCsv:
         with pytest.raises(ParameterError, match="header"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("row", ["0.05,0.8,3.5e-4", "0.05,0.8,3.5e-4,4,9"])
+    def test_row_width_is_enforced(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"time_s,drift_angle,residual_qber,probes_used\n{row}\n"
+        )
+        with pytest.raises(ParameterError, match=r"trace\[0\].*columns"):
+            read_trace_csv(path)
+
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="equal length"):
             CompensationTrace(

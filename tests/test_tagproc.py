@@ -549,6 +549,33 @@ def test_histogram_csv_needs_two_bins(tmp_path):
         read_histogram_csv(path)
 
 
+@pytest.mark.parametrize(
+    "centers", ["5,15,100", "15,5,-5", "5,5,5", "5,15,25.003"]
+)
+def test_histogram_csv_rejects_uneven_centres(tmp_path, centers):
+    path = tmp_path / "uneven.csv"
+    path.write_text(
+        "delay_ps,counts\n"
+        + "".join(f"{center},1\n" for center in centers.split(","))
+    )
+    with pytest.raises(ParameterError, match="evenly spaced"):
+        read_histogram_csv(path)
+
+
+def test_histogram_csv_tolerates_centre_rounding(tmp_path):
+    # a width of 10/3 ps makes every centre round at the writer's 0.001 ps
+    histogram = CorrelationHistogram(
+        bin_width_ps=10.0 / 3.0,
+        counts=np.arange(500, dtype=np.int64),
+        origin_ps=-1234.5678,
+    )
+    path = tmp_path / "thirds.csv"
+    write_histogram_csv(histogram, path)
+    back = read_histogram_csv(path)
+    assert np.array_equal(back.counts, histogram.counts)
+    assert back.bin_width_ps == pytest.approx(10.0 / 3.0, abs=1e-3)
+
+
 def test_truth_table_csv_layout(tmp_path):
     path = tmp_path / "table.csv"
     write_truth_table_csv(TruthTable(counts=IDEAL_COUNTS), path)
