@@ -65,8 +65,8 @@ from .params import (
 from .polcomp import (
     CompensatorState,
     PolarizationDrift,
+    _measured_qber,
     compensate,
-    measured_qber,
     track_compensation,
     write_trace_csv,
 )
@@ -228,6 +228,13 @@ def _check_disk_space(directory: Path, needed_bytes: float) -> None:
 # shared option handling
 # ---------------------------------------------------------------------------
 
+def _require_file(path: Path, option: str, kind: str) -> Path:
+    """``path`` if it exists; a missing input is a validation error."""
+    if not path.exists():
+        raise ParameterError(option, f"{kind} file not found: {path}")
+    return path
+
+
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario is not None:
         return load_scenario(args.scenario)
@@ -373,7 +380,9 @@ def _sweep_values(args: argparse.Namespace) -> Sequence:
             raise ParameterError(
                 "dataset", "--axis dataset requires --dataset FILE"
             )
-        return read_dataset_csv(args.dataset)
+        return read_dataset_csv(
+            _require_file(Path(args.dataset), "dataset", "dataset")
+        )
     if args.values is not None:
         tokens = [token for token in args.values.split(",") if token]
         try:
@@ -460,8 +469,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_stream(path: Path):
-    if not path.exists():
-        raise ParameterError("tags", f"tag file not found: {path}")
+    _require_file(path, "tags", "tag")
     if path.stat().st_size == 0:
         raise ParameterError("tags", f"tag file is empty: {path}")
     if path.suffix == ".csv":
@@ -482,6 +490,13 @@ def _truth_error_fraction(stream) -> tuple[int, int]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     point = config.point
+    # the histogram is small; a bad one fails before the tag file is read
+    histogram = None
+    if args.g2_histogram is not None:
+        path = _require_file(
+            Path(args.g2_histogram), "g2_histogram", "histogram"
+        )
+        histogram = read_histogram_csv(path)
     with RunDirectory(args.out) as run:
         stream = _read_stream(Path(args.tags))
         if len(stream) == 0:
@@ -518,8 +533,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ),
         }
 
-        if args.g2_histogram is not None:
-            histogram = read_histogram_csv(args.g2_histogram)
+        if histogram is not None:
             lifetime = (
                 report.get("lifetime_ps_fit") or point.source.lifetime
             )
@@ -646,10 +660,10 @@ def _cmd_polcomp(args: argparse.Namespace) -> int:
     )
 
     def probe(state: CompensatorState) -> float:
-        return measured_qber(
+        return _measured_qber(
             drift,
             state,
-            point,
+            floor,
             probe_photons=args.probe_photons,
             rng=probe_rng,
         )
@@ -657,7 +671,7 @@ def _cmd_polcomp(args: argparse.Namespace) -> int:
     static = compensate(
         CompensatorState(plates=args.plates), probe, budget=args.budget
     )
-    static_residual = measured_qber(drift, static, point) - floor
+    static_residual = _measured_qber(drift, static, floor) - floor
     _print(f"qber_floor          {floor:.6e}")
     _print(f"drift_angle_rad     {drift.rotation_angle:.6f}")
     _print(f"static_probes       {static.iterations}")

@@ -235,7 +235,7 @@ def ec_leakage(
     _require(0.0 <= qber <= 0.5, "qber", "must lie in [0, 0.5]")
     _require(f_ec >= 1.0, "f_ec", "must be >= 1")
     _require(0.0 < eps_cor < 1.0, "eps_cor", "must lie in (0, 1)")
-    return n * f_ec * float(binary_entropy(qber))
+    return n * f_ec * binary_entropy(qber)
 
 
 def finite_skb_per_pulse(
@@ -280,7 +280,7 @@ def finite_skb_per_pulse(
     verification_bits = math.log2(2.0 / budget.eps_cor)
     pa_bits = 2.0 * math.log2(1.0 / (2.0 * budget.eps_PA))
     extractable = (
-        n_nmp * (1.0 - float(binary_entropy(phase_bound)))
+        n_nmp * (1.0 - binary_entropy(phase_bound))
         - lambda_ec
         - verification_bits
         - pa_bits

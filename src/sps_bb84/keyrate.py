@@ -22,6 +22,7 @@ the package's one CSV table codec.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -165,6 +166,16 @@ def expected_blocked_windows(
     over ``j`` gives the expected blocked count per registration.
     """
     _require(dead_time_ns >= 0.0, "dead_time_ns", "must be non-negative")
+    return _blocked_windows(lifetime_ps, period_ps, dead_time_ns)
+
+
+# a loss sweep or an MTL bisection asks for one detector and pulse grid
+# thousands of times; the public name stays a plain function so that
+# call-level tracing still sees it
+@functools.lru_cache(maxsize=64)
+def _blocked_windows(
+    lifetime_ps: float, period_ps: float, dead_time_ns: float
+) -> float:
     dead_ps = dead_time_ns * 1e3
     total = 0.0
     for j in range(1, 100_000):
@@ -321,8 +332,8 @@ def skb_per_pulse(
         p_sift = op.protocol.sift_probability
         f_ec = op.protocol.error_correction_inefficiency
         skb = p_sift * (
-            p_c1 * (1.0 - float(binary_entropy(e1)))
-            - f_ec * p_c * float(binary_entropy(e_tot))
+            p_c1 * (1.0 - binary_entropy(e1))
+            - f_ec * p_c * binary_entropy(e_tot)
         )
         skb = max(0.0, skb)
     return KeyRateReport(

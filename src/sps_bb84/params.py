@@ -57,19 +57,35 @@ def _require(condition: bool, field_name: str, message: str) -> None:
 # shared math utilities
 # ---------------------------------------------------------------------------
 
+def _interior_entropy(p):
+    # numpy's log2 on both paths: math.log2 rounds differently for some
+    # arguments, and scalar and array results must agree bit for bit
+    return -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+
+
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """Binary Shannon entropy h(x) in bits, with h(0) = h(1) = 0 by continuity.
 
     Accepts a scalar or an ndarray; raises :class:`ParameterError` if any
-    value lies outside [0, 1].
+    value lies outside [0, 1] or is NaN.  A scalar returns a ``float``
+    equal bit for bit to the matching element of the array result.
     """
+    if isinstance(x, (float, int)):
+        # the rate chain calls this per operating point, so Python
+        # numbers skip the array machinery
+        if not 0.0 <= x <= 1.0:
+            raise ParameterError(
+                "x", "binary_entropy argument must lie in [0, 1]"
+            )
+        if x == 0.0 or x == 1.0:
+            return 0.0
+        return float(_interior_entropy(x))
     arr = np.asarray(x, dtype=float)
     if np.any((arr < 0.0) | (arr > 1.0)) or np.any(np.isnan(arr)):
         raise ParameterError("x", "binary_entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     interior = (arr > 0.0) & (arr < 1.0)
-    p = arr[interior]
-    out[interior] = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    out[interior] = _interior_entropy(arr[interior])
     if arr.ndim == 0:
         return float(out)
     return out

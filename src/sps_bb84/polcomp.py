@@ -271,6 +271,40 @@ def residual_rotation(
     return compensator.jones() @ drift.rotation
 
 
+def _error_rates(
+    drift: PolarizationDrift, compensator: CompensatorState, floor: float
+) -> tuple[float, float]:
+    net = residual_rotation(drift, compensator)
+    leak_z = float(abs(_V.conj() @ net @ _H) ** 2)
+    leak_x = float(abs(_A.conj() @ net @ _D) ** 2)
+    return (
+        floor + (1.0 - 2.0 * floor) * leak_z,
+        floor + (1.0 - 2.0 * floor) * leak_x,
+    )
+
+
+def _measured_qber(
+    drift: PolarizationDrift,
+    compensator: CompensatorState,
+    floor: float,
+    probe_photons: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """:func:`measured_qber` above a precomputed error floor.
+
+    A feedback loop probes one operating point many times; it evaluates
+    the floor, a full click-model pass, once and passes it here.
+    """
+    error_z, error_x = _error_rates(drift, compensator, floor)
+    probability = 0.5 * (error_z + error_x)
+    if probe_photons is None:
+        return probability
+    _require(probe_photons >= 1, "probe_photons", "must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng()
+    return float(rng.binomial(probe_photons, probability)) / probe_photons
+
+
 def basis_error_rates(
     drift: PolarizationDrift,
     compensator: CompensatorState,
@@ -282,14 +316,7 @@ def basis_error_rates(
     detection port; that leakage combines with the operating point's
     intrinsic error floor as two independent symmetric error sources.
     """
-    net = residual_rotation(drift, compensator)
-    leak_z = float(abs(_V.conj() @ net @ _H) ** 2)
-    leak_x = float(abs(_A.conj() @ net @ _D) ** 2)
-    floor = qber_total(point)
-    return (
-        floor + (1.0 - 2.0 * floor) * leak_z,
-        floor + (1.0 - 2.0 * floor) * leak_x,
-    )
+    return _error_rates(drift, compensator, qber_total(point))
 
 
 def measured_qber(
@@ -305,14 +332,9 @@ def measured_qber(
     binomial counter of that size, modeling a finite probe budget per
     measurement; otherwise the exact value is returned.
     """
-    error_z, error_x = basis_error_rates(drift, compensator, point)
-    probability = 0.5 * (error_z + error_x)
-    if probe_photons is None:
-        return probability
-    _require(probe_photons >= 1, "probe_photons", "must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    return float(rng.binomial(probe_photons, probability)) / probe_photons
+    return _measured_qber(
+        drift, compensator, qber_total(point), probe_photons, rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +496,7 @@ def track_compensation(
     _require(dt > 0.0, "dt", "must be > 0")
     _require(probes_per_step >= 1, "probes_per_step", "must be >= 1")
     probe_rng = np.random.default_rng(probe_seed)
+    floor = qber_total(point)
 
     times = np.empty(n_steps, dtype=np.float64)
     angles = np.empty(n_steps, dtype=np.float64)
@@ -484,8 +507,8 @@ def track_compensation(
         drift = apply_drift(drift, dt)
 
         def probe(state: CompensatorState) -> float:
-            return measured_qber(
-                drift, state, point,
+            return _measured_qber(
+                drift, state, floor,
                 probe_photons=probe_photons, rng=probe_rng,
             )
 
@@ -499,7 +522,7 @@ def track_compensation(
         )
         times[index] = (index + 1) * dt
         angles[index] = drift.rotation_angle
-        residuals[index] = measured_qber(drift, compensator, point)
+        residuals[index] = _measured_qber(drift, compensator, floor)
         probes[index] = compensator.iterations - before
 
     trace = CompensationTrace(

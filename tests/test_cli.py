@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sps_bb84 import cli
 from sps_bb84.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -352,6 +353,23 @@ class TestSweep:
         assert rows[1].startswith("bright,")
         assert rows[2].startswith("dim,")
 
+    def test_missing_dataset_is_validation_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "ds"
+        code = main(
+            [
+                "sweep",
+                "--axis",
+                "dataset",
+                "--dataset",
+                str(tmp_path / "nosuch.csv"),
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "dataset: dataset file not found" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 # ---------------------------------------------------------------------------
 # simulate + analyze
@@ -505,6 +523,54 @@ class TestSimulateAnalyze:
         )
         assert code == EXIT_VALIDATION
         assert "histogram[1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_analyze_missing_g2_histogram(self, tmp_path, sim10_dir, capsys):
+        out_dir = tmp_path / "ana"
+        code = main(
+            [
+                "analyze",
+                "--tags",
+                str(sim10_dir / "tags.bin"),
+                "--g2-histogram",
+                str(tmp_path / "nosuch.csv"),
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "g2_histogram: histogram file not found" in err
+        assert not out_dir.exists()
+
+    def test_malformed_g2_histogram_fails_before_tag_analysis(
+        self, tmp_path, sim10_dir, monkeypatch, capsys
+    ):
+        calls = []
+        original = cli.correlate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "correlate", counting)
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text("delay_ps,counts\n5.000,1\n15.000,abc\n")
+        out_dir = tmp_path / "ana"
+        code = main(
+            [
+                "analyze",
+                "--tags",
+                str(sim10_dir / "tags.bin"),
+                "--g2-histogram",
+                str(histogram),
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "histogram[1]" in capsys.readouterr().err
+        assert calls == []
         assert not out_dir.exists()
 
     def test_csv_tag_round_trip(self, tmp_path, loss10_scenario, capsys):

@@ -112,6 +112,29 @@ def test_expected_blocked_windows_zero_deadtime():
     assert expected_blocked_windows(592.5, 1e12 / 228e6, 0.0) < 1.0
 
 
+def test_negative_dead_time_raises_on_every_call():
+    period_ps = 1e12 / 228e6
+    expected_blocked_windows(592.5, period_ps, 35.865)
+    for _ in range(3):
+        with pytest.raises(ParameterError, match="dead_time_ns"):
+            expected_blocked_windows(592.5, period_ps, -1.0)
+
+
+def test_loss_sweep_sums_the_blocked_windows_once():
+    # the sum depends on lifetime, pulse period and dead time only, none
+    # of which a loss sweep moves
+    keyrate._blocked_windows.cache_clear()
+    values = [30.0 * k / 600 for k in range(601)]
+    rows = sweep(
+        TABLE_POINT, axis="loss", values=values, regime="finite",
+        block_size=1e8,
+    )
+    assert len(rows) == 601
+    info = keyrate._blocked_windows.cache_info()
+    assert info.misses == 1
+    assert info.hits == 600
+
+
 def test_rate_after_deadtime_frozen_value():
     assert rate_after_deadtime(1e6, 35.865) == pytest.approx(
         9.653768e5, rel=1e-6

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sps_bb84.params import (
     LinkModel,
@@ -59,6 +61,36 @@ def test_binary_entropy_rejects_out_of_range():
 def test_binary_entropy_accepts_arrays():
     out = binary_entropy(np.array([0.0, 0.5, 1.0]))
     assert out == pytest.approx([0.0, 1.0, 0.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=0.0, max_value=1.0), wrap=st.booleans())
+@example(x=0.0, wrap=False)
+@example(x=1.0, wrap=True)
+@example(x=5e-324, wrap=False)
+@example(x=2.2250738585072014e-308, wrap=True)
+@example(x=1.0 - 2.0**-53, wrap=False)
+def test_binary_entropy_scalar_matches_array_bit_for_bit(x, wrap):
+    scalar = np.float64(x) if wrap else x
+    value = binary_entropy(scalar)
+    assert type(value) is float
+    reference = binary_entropy(np.array([x]))[0]
+    assert value.hex() == float(reference).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, -5e-324]),
+        st.floats(allow_nan=True).filter(lambda v: not 0.0 <= v <= 1.0),
+    ),
+    wrap=st.booleans(),
+)
+def test_binary_entropy_rejects_nan_inf_and_out_of_range(x, wrap):
+    with pytest.raises(ParameterError):
+        binary_entropy(np.float64(x) if wrap else x)
+    with pytest.raises(ParameterError):
+        binary_entropy(np.array([0.5, x]))
 
 
 def test_sift_ratio_balanced_bases():

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sps_bb84 import keyrate
 from sps_bb84.keyrate import qber_total
 from sps_bb84.params import OperatingPoint, ParameterError
 from sps_bb84.polcomp import (
@@ -452,6 +453,25 @@ class TestTracking:
         )
         assert (trace.probes_used >= 1).all()
         assert (trace.probes_used <= 6).all()
+
+    @pytest.mark.parametrize("probe_photons", [None, 1000])
+    def test_error_floor_evaluated_once_per_run(
+        self, monkeypatch, probe_photons
+    ):
+        calls = []
+        original = keyrate.click_terms
+
+        def counting(op):
+            calls.append(op)
+            return original(op)
+
+        monkeypatch.setattr(keyrate, "click_terms", counting)
+        _, _, trace = track_compensation(
+            _random_drift(3, drift_rate=1e-2), CompensatorState(), POINT,
+            n_steps=50, dt=0.05, probe_photons=probe_photons,
+        )
+        assert len(trace) == 50
+        assert len(calls) <= 1
 
     def test_argument_validation(self):
         drift = _random_drift(1)
