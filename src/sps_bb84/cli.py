@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
-import os
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -86,7 +86,6 @@ __all__ = [
     "EXIT_VALIDATION",
     "EXIT_RUNTIME",
     "MANIFEST_NAME",
-    "THREADS_ENV",
     "main",
     "entrypoint",
 ]
@@ -98,7 +97,6 @@ EXIT_RUNTIME = 4
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
-THREADS_ENV = "SPS_BB84_THREADS"
 
 _MTL_REGIMES_DEFAULT = "asymptotic,1e8,1e5,1e3"
 _STATE_CODES = {"H": 0, "V": 1, "D": 2, "A": 3}
@@ -239,27 +237,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario is not None:
         return load_scenario(args.scenario)
     return ScenarioConfig()
-
-
-def _resolve_threads(args: argparse.Namespace) -> int | None:
-    """Worker cap: the --threads flag wins, then the environment."""
-    flag = args.threads
-    if flag is not None:
-        if flag < 1:
-            raise ParameterError("threads", "must be >= 1")
-        return flag
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterError(
-                "threads", f"{THREADS_ENV} must be an integer, got {env!r}"
-            )
-        if value < 1:
-            raise ParameterError("threads", f"{THREADS_ENV} must be >= 1")
-        return value
-    return None
 
 
 def _build_scenario(
@@ -425,14 +402,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario = _build_scenario(config, args)
-    threads = _resolve_threads(args)
 
     with RunDirectory(args.out) as run:
         if args.g2:
             histogram = simulate_g2_histogram(
-                scenario,
-                bin_width_ps=args.bin_width,
-                max_workers=threads,
+                scenario, bin_width_ps=args.bin_width
             )
             write_histogram_csv(histogram, run.file("g2_histogram.csv"))
             _print(
@@ -450,7 +424,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 scenario.n_pulses
                 * (per_record * (1.1 + 2.0 * click) + 9.0 * 2.0 * click),
             )
-            alice, stream = simulate_run(scenario, max_workers=threads)
+            alice, stream = simulate_run(scenario)
             if args.format == "csv":
                 write_tags_csv(stream, run.file("tags.csv"))
             else:
@@ -648,6 +622,8 @@ def _drift_from_seed(seed: int, drift_rate: float) -> PolarizationDrift:
 
 
 def _cmd_polcomp(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ParameterError("steps", "must be >= 0")
     config = _load_config(args)
     point = config.point
     drift = _drift_from_seed(args.drift_seed, args.drift_rate)
@@ -797,7 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a two-detector pair histogram instead of tags",
     )
     sim.add_argument("--bin-width", type=float, default=10.0, metavar="PS")
-    sim.add_argument("--threads", type=int, metavar="N")
     sim.add_argument("--out", required=True, metavar="DIR")
 
     ana = add("analyze", "estimate properties of a tag stream", _cmd_analyze)
@@ -836,11 +811,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every ``main``."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

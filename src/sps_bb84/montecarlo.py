@@ -17,8 +17,9 @@ counts, so its cost and memory grow with detections, not with pulses.
 One generator and one chunk driver serve both the BB84 receiver and the
 two-detector intensity-correlation (HBT) setup.  Runs are partitioned
 into fixed-size pulse chunks; each chunk draws from its own
-counter-seeded Philox stream, so results are bit-identical regardless of
-worker count or chunk execution order.
+counter-seeded Philox stream, so results are bit-identical whichever
+order the chunks execute in.  Runs expecting many photon events per chunk
+spread their chunks over a thread pool; sparse runs stay serial.
 
 The transmitter record (``AliceRecord``) is sparse: it holds states only
 for photon-carrying pulses and for the other windows that hold a tag.
@@ -31,6 +32,7 @@ billion-pulse runs stay in memory; file exports materialize them.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -81,6 +83,10 @@ NO_TRUTH_STATE = 255
 
 #: pulses per generation chunk; fixed so chunk seeding is reproducible
 CHUNK_PULSES = 1_000_000
+
+#: expected photon events per full chunk from which chunks run on a
+#: thread pool; sparser chunks finish faster than the pool hands them out
+_POOL_MIN_EVENTS = 4_000
 
 #: spawn key of the stream drawing states for tagged windows without a
 #: photon event; two words, so it differs from every chunk key
@@ -360,21 +366,47 @@ def _survival_probability(point: OperatingPoint) -> float:
     )
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+def _event_weights(point: OperatingPoint) -> np.ndarray:
+    """Per-pulse probabilities of the three photon-event configurations.
+
+    With survival probability ``s``: one photon emitted, p1 s; two
+    emitted, one survives, 2 p2 s (1 - s); both survive, p2 s².  Their
+    sum is the event probability q = p1 s + p2 (1 - (1 - s)²).
+    """
+    _, p1, p2 = point.source.photon_number_pmf()
+    s = _survival_probability(point)
+    return np.array([p1 * s, 2.0 * p2 * s * (1.0 - s), p2 * s * s])
+
+
+def _philox(seed: int, *spawn_key: int) -> np.random.Generator:
+    sequence = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(sequence))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_workers(scenario: Scenario, n_chunks: int) -> int:
+    """Threads for ``n_chunks`` chunks: every usable CPU where the
+    photon events a full chunk expects pay for a pool, else one."""
+    events = _event_weights(scenario.operating_point).sum() * CHUNK_PULSES
+    if events < _POOL_MIN_EVENTS:
+        return 1
+    return min(_usable_cpus(), n_chunks)
 
 
 def _map_chunks(
     scenario: Scenario,
     generate: Callable[[Scenario, np.random.Generator, int, int], object],
-    max_workers: int | None,
 ) -> list:
     """Run ``generate(scenario, rng, start, count)`` per chunk, in order.
 
     Chunk ``i`` covers pulses [i * CHUNK_PULSES, ...) and draws from its
-    own counter-seeded stream, so results do not depend on the worker
-    count or on the order chunks execute in.
+    own counter-seeded stream, so results do not depend on the number of
+    threads or on the order chunks execute in.
     """
     ranges = [
         (chunk_index, start, min(CHUNK_PULSES, scenario.n_pulses - start))
@@ -385,11 +417,10 @@ def _map_chunks(
 
     def run_chunk(args: tuple[int, int, int]):
         chunk_index, start, count = args
-        rng = _chunk_rng(scenario.seed, chunk_index)
+        rng = _philox(scenario.seed, chunk_index)
         return generate(scenario, rng, start, count)
 
-    workers = max_workers if max_workers and max_workers > 0 else 4
-    workers = min(workers, len(ranges))
+    workers = _chunk_workers(scenario, len(ranges))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_chunk, ranges))
@@ -434,23 +465,18 @@ def _photon_events(
     """Surviving photons of one chunk, drawn event by event.
 
     An event is a pulse that carries at least one photon surviving the
-    optical chain; with survival probability ``s`` that happens with
-    probability q = p1 s + p2 (1 - (1 - s)²) per pulse, independently.
-    Each event then takes one of three configurations from its
-    conditional law, with weights p1 s : 2 p2 s (1 - s) : p2 s² — one
-    photon emitted; two emitted, one survives; two emitted, both
-    survive — and each survivor is stamped with emission decay plus
-    detector jitter.  This is exactly the per-pulse law restricted to
-    the pulses that can reach a detector.
+    optical chain; each pulse is an event independently, with the
+    probability q of ``_event_weights``.  Each event then takes one of the
+    three configurations from their conditional law, and each survivor is
+    stamped with emission decay plus detector jitter.  This is exactly
+    the per-pulse law restricted to the pulses that can reach a detector.
 
     Returns the event pulse indices, photons emitted per event, the
     event of each surviving photon (an index into the first two), and
     each survivor's arrival time in ps.
     """
     point = scenario.operating_point
-    _, p1, p2 = point.source.photon_number_pmf()
-    s = _survival_probability(point)
-    weights = np.array([p1 * s, 2.0 * p2 * s * (1.0 - s), p2 * s * s])
+    weights = _event_weights(point)
     q = float(weights.sum())
 
     positions = _bernoulli_positions(rng, q, count)
@@ -589,14 +615,7 @@ def _merge_sorted(
     return {key: values[order] for key, values in merged.items()}
 
 
-def _window_state_rng(seed: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(seed, spawn_key=_WINDOW_STATE_SPAWN)
-    return np.random.Generator(np.random.Philox(sequence))
-
-
-def simulate_run(
-    scenario: Scenario, max_workers: int | None = None
-) -> tuple[AliceRecord, TagStream]:
+def simulate_run(scenario: Scenario) -> tuple[AliceRecord, TagStream]:
     """Simulate the full transmitter-channel-receiver chain.
 
     Per pulse: the transmitter encodes a state and emits 0-2 photons;
@@ -613,9 +632,9 @@ def simulate_run(
     stream tags (dark counts, late-tail spill).  The latter are iid
     uniform, drawn after the dead-time filter from one dedicated stream
     in ascending window order, so the record is exact and independent of
-    the worker count.
+    the order chunks run in.
     """
-    results = _map_chunks(scenario, _bb84_chunk, max_workers)
+    results = _map_chunks(scenario, _bb84_chunk)
     tags = _merge_sorted(
         [r[2] for r in results],
         scenario.operating_point.link.dead_time * 1e3,
@@ -631,7 +650,7 @@ def simulate_run(
     tagged = windows[np.diff(windows, prepend=-1) != 0]
     extra = tagged[~_lookup(events, tagged)[1]]
     if scenario.encoded_state is None:
-        extra_states = _window_state_rng(scenario.seed).integers(
+        extra_states = _philox(scenario.seed, *_WINDOW_STATE_SPAWN).integers(
             0, 4, len(extra), dtype=np.uint8
         )
     else:
@@ -718,7 +737,6 @@ def simulate_g2_histogram(
     scenario: Scenario,
     bin_width_ps: float = 10.0,
     side_periods: int = 5,
-    max_workers: int | None = None,
 ) -> "CorrelationHistogram":
     """Simulate an intensity-correlation (two-detector) measurement.
 
@@ -734,7 +752,7 @@ def simulate_g2_histogram(
     _require(side_periods >= 3, "side_periods", "need at least 3 side peaks")
 
     tags = _merge_sorted(
-        _map_chunks(scenario, _hbt_chunk, max_workers),
+        _map_chunks(scenario, _hbt_chunk),
         scenario.operating_point.link.dead_time * 1e3,
     )
     time_ps, detector = tags["time_ps"], tags["channel"]

@@ -20,7 +20,6 @@ from sps_bb84.cli import (
     EXIT_VALIDATION,
     EXIT_ZERO_KEY,
     MANIFEST_NAME,
-    THREADS_ENV,
     main,
 )
 from sps_bb84.tagproc import read_histogram_csv
@@ -99,40 +98,59 @@ class TestParsing:
         )
         assert "not found" in capsys.readouterr().err
 
-    # only simulate honours --threads and the thread environment variable
-    def test_thread_count_must_be_positive(self, tmp_path, capsys):
+    # the simulator picks its own thread count; no knob sets it
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "s"
         code = main(
             [
                 "simulate",
                 "--pulses",
                 "1000",
                 "--threads",
-                "0",
+                "2",
                 "--out",
-                str(tmp_path / "s"),
+                str(out),
             ]
         )
         assert code == EXIT_VALIDATION
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_thread_env_var_must_be_integer(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv(THREADS_ENV, "lots")
-        code = main(
-            ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s")]
-        )
-        assert code == EXIT_VALIDATION
-        assert THREADS_ENV in capsys.readouterr().err
-
-    def test_thread_env_var_accepted(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv(THREADS_ENV, "2")
+    def test_thread_env_var_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPS_BB84_THREADS", "lots")
         code = main(
             ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s")]
         )
         assert code == EXIT_OK
+
+    def test_parser_built_once_across_calls(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            codes = [
+                main(["bogus"]),
+                main(["simulate", "--out", str(tmp_path / "a"), "--nope"]),
+                main(
+                    [
+                        "simulate",
+                        "--pulses",
+                        "1000",
+                        "--out",
+                        str(tmp_path / "b"),
+                    ]
+                ),
+            ]
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [EXIT_VALIDATION, EXIT_VALIDATION, EXIT_OK]
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -855,3 +873,10 @@ class TestPolcomp:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    def test_negative_step_count_is_validation_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "p"
+        code = main(["polcomp", "--steps", "-1", "--out", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert "steps: must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sps_bb84 import montecarlo
 from sps_bb84.montecarlo import (
     CHANNEL_REFERENCE,
     NO_TRUTH_STATE,
     AliceRecord,
     Scenario,
-    _chunk_rng,
+    CHUNK_PULSES,
+    _chunk_workers,
     _deadtime_keep_mask,
     _pair_offsets,
+    _philox,
     _photon_events,
     _survival_probability,
     sample_photon_number,
@@ -143,7 +146,7 @@ def test_event_configurations_follow_conditional_law():
     counts = np.zeros(3)
     for chunk in range(4):
         _, photons, owner, _ = _photon_events(
-            sc, _chunk_rng(sc.seed, chunk), chunk * 1_000_000, 1_000_000
+            sc, _philox(sc.seed, chunk), chunk * 1_000_000, 1_000_000
         )
         survivors = np.bincount(owner, minlength=len(photons))
         counts += [
@@ -266,11 +269,19 @@ def test_pair_offsets_match_per_tag_ranges(bounds):
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_run_is_deterministic_across_worker_counts():
+def _with_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(
+        montecarlo, "_chunk_workers", lambda scenario, n_chunks: workers
+    )
+
+
+def test_run_is_deterministic_across_worker_counts(monkeypatch):
     sc = Scenario(operating_point=table_point().with_loss(10.0),
                   n_pulses=2_500_000, seed=99)
-    alice1, stream1 = simulate_run(sc, max_workers=1)
-    alice2, stream2 = simulate_run(sc, max_workers=4)
+    _with_workers(monkeypatch, 1)
+    alice1, stream1 = simulate_run(sc)
+    _with_workers(monkeypatch, 4)
+    alice2, stream2 = simulate_run(sc)
     assert np.array_equal(alice1.indices, alice2.indices)
     assert np.array_equal(alice1.states, alice2.states)
     assert np.array_equal(stream1.time_ps, stream2.time_ps)
@@ -288,13 +299,26 @@ def test_repeated_runs_are_bit_identical():
     assert np.array_equal(stream1.channel, stream2.channel)
 
 
-def test_pair_histogram_deterministic_across_worker_counts():
+def test_pair_histogram_deterministic_across_worker_counts(monkeypatch):
     sc = Scenario(operating_point=lossless_point(), n_pulses=2_000_000,
                   seed=66)
-    h1 = simulate_g2_histogram(sc, max_workers=1)
-    h2 = simulate_g2_histogram(sc, max_workers=4)
+    _with_workers(monkeypatch, 1)
+    h1 = simulate_g2_histogram(sc)
+    _with_workers(monkeypatch, 4)
+    h2 = simulate_g2_histogram(sc)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.origin_ps == h2.origin_ps
+
+
+def test_chunk_workers_pool_only_dense_multi_chunk_runs(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    dense = Scenario(operating_point=lossless_point(),
+                     n_pulses=3 * CHUNK_PULSES, seed=1)
+    sparse = Scenario(operating_point=table_point(),
+                      n_pulses=3 * CHUNK_PULSES, seed=1)
+    assert _chunk_workers(sparse, 3) == 1
+    assert _chunk_workers(dense, 3) == 2
+    assert _chunk_workers(dense, 1) == 1
 
 
 def test_different_seeds_differ():
