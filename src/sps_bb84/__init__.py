@@ -13,7 +13,7 @@ BB84 experiment driven by a sub-Poissonian (quantum-dot style) source:
     Finite-block security bounds (concentration inequalities, sampling
     corrections, extractable key length).
 ``montecarlo``
-    Pulse-by-pulse stochastic simulation producing time-tagged detection
+    Event-driven stochastic simulation producing time-tagged detection
     records compatible with the analytic model.
 ``tagproc``
     Estimators that consume time-tag streams: correlation histograms,

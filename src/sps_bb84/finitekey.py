@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ParameterError, SecurityBudget, _require, binary_entropy
+from .params import SecurityBudget, _require, binary_entropy
 
 __all__ = [
     "DegenerateBlockError",
@@ -222,19 +222,15 @@ def phase_error_upper(block: FiniteBlockInput) -> float:
     return min(0.5, block.observed_error_x + gamma)
 
 
-def ec_leakage(
-    n: float, qber: float, f_ec: float, eps_cor: float = 1e-15
-) -> float:
+def ec_leakage(n: float, qber: float, f_ec: float) -> float:
     """Reconciliation leakage model: f_ec * h(qber) * n bits.
 
-    ``eps_cor`` is accepted so leakage models that fold in verification
-    can be substituted; the default model accounts the verification tag
-    separately in the extractable-length formula.
+    The verification tag is not part of it: the extractable-length
+    formula accounts that separately.
     """
     _require(n >= 1, "n", "must be >= 1")
     _require(0.0 <= qber <= 0.5, "qber", "must lie in [0, 0.5]")
     _require(f_ec >= 1.0, "f_ec", "must be >= 1")
-    _require(0.0 < eps_cor < 1.0, "eps_cor", "must lie in (0, 1)")
     return n * f_ec * binary_entropy(qber)
 
 
@@ -274,9 +270,7 @@ def finite_skb_per_pulse(
             block.n_x * block.observed_error_x
             + block.n_z * block.observed_error_z
         ) / n_sift
-        lambda_ec = ec_leakage(
-            n_sift, weighted_qber, block.f_ec, budget.eps_cor
-        )
+        lambda_ec = ec_leakage(n_sift, weighted_qber, block.f_ec)
     verification_bits = math.log2(2.0 / budget.eps_cor)
     pa_bits = 2.0 * math.log2(1.0 / (2.0 * budget.eps_PA))
     extractable = (

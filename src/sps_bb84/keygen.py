@@ -12,7 +12,6 @@ port (H or D) encodes 0 and the second (V or A) encodes 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,14 @@ from .finitekey import (
     finite_skb_per_pulse,
 )
 from .keyrate import multiphoton_bound
-from .montecarlo import AliceRecord, Scenario, TagStream, simulate_run
-from .params import ParameterError, _require
+from .montecarlo import (
+    AliceRecord,
+    Scenario,
+    TagStream,
+    _philox,
+    simulate_run,
+)
+from .params import _require
 from .tagproc import InsufficientStatisticsError
 
 __all__ = [
@@ -83,7 +88,6 @@ class SiftedKey:
     basis: str
     bits: np.ndarray
     indices: np.ndarray
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         _require(self.basis in ("Z", "X"), "basis", "must be 'Z' or 'X'")
@@ -111,7 +115,7 @@ class SiftedKey:
 
 
 def sift(
-    alice: AliceRecord, detections: TagStream, run_id: str = ""
+    alice: AliceRecord, detections: TagStream
 ) -> tuple[SiftedKey, SiftedKey]:
     """Split detections into matched-basis keys, one bit per pulse window.
 
@@ -139,7 +143,6 @@ def sift(
                 basis=name,
                 bits=(kept_channels[select] & 1).astype(np.uint8),
                 indices=kept_windows[select],
-                run_id=run_id,
             )
         )
     return keys[0], keys[1]
@@ -571,9 +574,6 @@ class KeySessionLedger:
             "pa_shortening": self.pa_shortening,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
 
 @dataclass(frozen=True, slots=True)
 class SessionResult:
@@ -594,13 +594,6 @@ class SessionResult:
         return self.skb_per_pulse * self.ledger.clock_rate
 
 
-def _stage_rng(seed: int, stage: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(
-        seed, spawn_key=(_SESSION_SPAWN, stage)
-    )
-    return np.random.Generator(np.random.Philox(sequence))
-
-
 def run_session(
     scenario: Scenario,
     policy: SessionPolicy = SessionPolicy(),
@@ -615,7 +608,7 @@ def run_session(
     complete ledger rather than raising.
     """
     alice, stream = simulate_run(scenario)
-    z_key, x_key = sift(alice, stream, run_id=f"seed{scenario.seed}")
+    z_key, x_key = sift(alice, stream)
     raw_z, raw_x = len(z_key), len(x_key)
     point = scenario.operating_point
     budget = point.budget
@@ -634,14 +627,14 @@ def run_session(
         alice_x,
         x_key.bits,
         policy.disclose_fraction,
-        rng=_stage_rng(scenario.seed, 0),
+        rng=_philox(scenario.seed, _SESSION_SPAWN, 0),
     )
     transcript.append(("estimation", 2 * estimate.n_disclosed))
 
     alice_z = alice.bits_at(z_key.indices)
     verification_bits = verification_tag_length(budget.eps_cor)
-    reconcile_rng = _stage_rng(scenario.seed, 1)
-    verify_rng = _stage_rng(scenario.seed, 2)
+    reconcile_rng = _philox(scenario.seed, _SESSION_SPAWN, 1)
+    verify_rng = _philox(scenario.seed, _SESSION_SPAWN, 2)
     corrected = z_key.bits
     assumed_qber = max(estimate.error_rate, policy.qber_floor)
     leak_total = 0
@@ -688,14 +681,13 @@ def run_session(
         f_ec=protocol.error_correction_inefficiency,
         clock_rate=protocol.clock_rate,
         acquisition_time=scenario.n_pulses / protocol.clock_rate,
-        multiphoton_prob=multiphoton_bound(
-            point.source, "channel_input", point.link.transmitter_efficiency
-        ),
+        multiphoton_prob=multiphoton_bound(point),
     )
     report = finite_skb_per_pulse(block, lambda_ec=float(leak_total))
     final_length = min(report.final_key_length, raw_z)
 
-    pa_seed = int(_stage_rng(scenario.seed, 3).integers(0, 2**63))
+    pa_rng = _philox(scenario.seed, _SESSION_SPAWN, 3)
+    pa_seed = int(pa_rng.integers(0, 2**63))
     bob_final = privacy_amplify(corrected, final_length, pa_seed)
     alice_final = privacy_amplify(alice_z, final_length, pa_seed)
     transcript.append(("amplification", 0))

@@ -7,9 +7,7 @@ spills into later windows is excluded from the window's signal budget — at
 GHz clock rates this is what caps the per-window click probability).  Dark
 counts contribute per window, scaled linearly with window duration from the
 reference clock rate.  Detector recovery is modeled per detector with a
-renewal argument on the pulse grid; the classic continuous-rate correction
-``rate / (1 + rate * dead_time)`` is kept as a public utility for aggregate
-rates.
+renewal argument on the pulse grid.
 
 On top of the click model sits :func:`skb_per_pulse`, the one secret-key
 evaluator: a single click-model pass per operating point feeds either the
@@ -30,14 +28,7 @@ from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from ._table import read_table, write_table
 from .finitekey import FiniteBlockInput, FiniteKeyReport, finite_skb_per_pulse
-from .params import (
-    OperatingPoint,
-    ParameterError,
-    SourceModel,
-    _require,
-    binary_entropy,
-    length_to_loss,
-)
+from .params import OperatingPoint, ParameterError, _require, binary_entropy
 
 __all__ = [
     "NoPositiveKeyError",
@@ -47,7 +38,6 @@ __all__ = [
     "multiphoton_bound",
     "emission_capture_fraction",
     "expected_blocked_windows",
-    "rate_after_deadtime",
     "click_terms",
     "click_probability",
     "qber_total",
@@ -61,7 +51,6 @@ __all__ = [
 ]
 
 Regime = Literal["asymptotic", "finite"]
-ReferencePlane = Literal["first_lens", "channel_input"]
 
 
 class NoPositiveKeyError(RuntimeError):
@@ -118,32 +107,16 @@ class KeyRateReport:
 # click model
 # ---------------------------------------------------------------------------
 
-def multiphoton_bound(
-    source: SourceModel,
-    reference_plane: ReferencePlane = "channel_input",
-    transmitter_efficiency: float = 1.0,
-) -> float:
+def multiphoton_bound(op: OperatingPoint) -> float:
     """Per-pulse multiphoton emission probability bound g2 * n^2 / 2.
 
-    ``reference_plane`` selects where the mean photon number is taken:
-    ``first_lens`` uses the bare (pre-attenuated) source mean, the
-    worst case; ``channel_input`` also folds in the transmitter
-    efficiency, since photons lost inside the trusted transmitter never
-    reach the channel.
+    The mean photon number n is taken at the channel input: the source's
+    (pre-attenuated) mean times the transmitter efficiency, since photons
+    lost inside the trusted transmitter never reach the channel.
     """
-    if reference_plane not in ("first_lens", "channel_input"):
-        raise ParameterError(
-            "reference_plane", "must be 'first_lens' or 'channel_input'"
-        )
-    n_eff = source.effective_mean_photon_number
-    if reference_plane == "channel_input":
-        _require(
-            0.0 < transmitter_efficiency <= 1.0,
-            "transmitter_efficiency",
-            "must lie in (0, 1]",
-        )
-        n_eff *= transmitter_efficiency
-    return 0.5 * source.g2_zero * n_eff * n_eff
+    n_eff = op.source.effective_mean_photon_number
+    n_eff *= op.link.transmitter_efficiency
+    return 0.5 * op.source.g2_zero * n_eff * n_eff
 
 
 def emission_capture_fraction(lifetime_ps: float, period_ps: float) -> float:
@@ -188,13 +161,6 @@ def _blocked_windows(
         else:
             total += 1.0 - 0.5 * math.exp(-x / lifetime_ps)
     return total
-
-
-def rate_after_deadtime(rate_hz: float, dead_time_ns: float) -> float:
-    """Non-paralyzable recovery correction for an aggregate click rate."""
-    _require(rate_hz >= 0.0, "rate_hz", "must be non-negative")
-    _require(dead_time_ns >= 0.0, "dead_time_ns", "must be non-negative")
-    return rate_hz / (1.0 + rate_hz * dead_time_ns * 1e-9)
 
 
 def click_terms(op: OperatingPoint) -> ClickTerms:
@@ -250,12 +216,6 @@ def qber_total(op: OperatingPoint) -> float:
 # secret-key evaluation
 # ---------------------------------------------------------------------------
 
-def _multiphoton(op: OperatingPoint) -> float:
-    return multiphoton_bound(
-        op.source, "channel_input", op.link.transmitter_efficiency
-    )
-
-
 def _block_input(
     op: OperatingPoint,
     terms: ClickTerms,
@@ -263,7 +223,7 @@ def _block_input(
     block_size: float | None,
 ) -> FiniteBlockInput:
     n_z = float(block_size if block_size is not None else op.protocol.block_size)
-    _require(n_z >= 1.0, "block_size", "must be >= 1")
+    _require(1.0 <= n_z < math.inf, "block_size", "must be finite and >= 1")
     p_c = terms.corrected
     if p_c <= 0.0:
         raise NoPositiveKeyError("no clicks at this operating point")
@@ -293,7 +253,7 @@ def finite_block_input(
     pulse budget follows from the click probability and basis bias, and
     the analytic error rate stands in for both observed rates.
     """
-    return _block_input(op, click_terms(op), _multiphoton(op), block_size)
+    return _block_input(op, click_terms(op), multiphoton_bound(op), block_size)
 
 
 def skb_per_pulse(
@@ -316,7 +276,7 @@ def skb_per_pulse(
         raise ParameterError("regime", "must be 'asymptotic' or 'finite'")
     terms = click_terms(op)
     p_c, e_tot = terms.corrected, terms.qber
-    p_m = _multiphoton(op)
+    p_m = multiphoton_bound(op)
     p_c1 = max(0.0, p_c - p_m)
     e1 = min(0.5, e_tot * p_c / p_c1) if p_c1 > 0.0 else 0.5
     skb, finite = 0.0, None
@@ -358,15 +318,13 @@ def max_tolerable_loss(
     op: OperatingPoint,
     regime: Regime = "asymptotic",
     block_size: float | None = None,
-    tolerance_db: float = 0.001,
 ) -> float:
     """Channel loss (dB) at which the secret key rate reaches zero.
 
     Bisects the zero crossing of the selected regime's key fraction,
-    verifying monotone decrease on the bracket.  ``tolerance_db`` is the
-    final bracket width (default well inside the 0.01 dB contract).
+    verifying monotone decrease on the bracket, to a final bracket width
+    of 0.001 dB (well inside the 0.01 dB contract).
     """
-    _require(tolerance_db > 0.0, "tolerance_db", "must be positive")
 
     def value(loss_db: float) -> float:
         return skb_per_pulse(
@@ -394,7 +352,7 @@ def max_tolerable_loss(
             raise RuntimeError(
                 "secret key fraction is not monotone on the loss bracket"
             )
-    while hi - lo > tolerance_db:
+    while hi - lo > 0.001:
         mid = 0.5 * (lo + hi)
         if value(mid) > 0.0:
             lo = mid

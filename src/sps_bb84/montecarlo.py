@@ -37,24 +37,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterator,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from ._table import read_table, write_table
-from .params import (
-    OperatingPoint,
-    ParameterError,
-    ScenarioConfig,
-    SourceModel,
-    _require,
-)
+from .params import OperatingPoint, ScenarioConfig, _require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .tagproc import CorrelationHistogram
@@ -68,7 +56,6 @@ __all__ = [
     "TagStream",
     "read_tags",
     "read_tags_csv",
-    "sample_photon_number",
     "simulate_g2_histogram",
     "simulate_run",
     "stream_statistics",
@@ -99,17 +86,6 @@ _WINDOW_STATE_SPAWN = (0x57A7E5, 0)
 #: are charged to the wrong pulse, exactly as a time-gated receiver would
 WINDOW_GUARD_PS = 250.0
 
-#: Stokes vectors of the four encoded states on the Poincaré sphere
-#: (rows H, V, D, A; components S1, S2, S3)
-_STATE_STOKES = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0],
-    ]
-)
-
 _RECORD_DTYPE = np.dtype(
     [("time_ps", "<i8"), ("channel", "u1"), ("flags", "u1")]
 )
@@ -139,24 +115,13 @@ _CSV_PARSERS = (
 _ALICE_RECORD_DTYPE = np.dtype([("pulse", "<i8"), ("state", "u1")])
 
 
-@runtime_checkable
-class DriftLike(Protocol):
-    """Anything exposing a Poincaré rotation as a function of time."""
-
-    def rotation_at(self, time_s: float) -> np.ndarray:
-        """3x3 rotation acting on Stokes vectors at the given time."""
-        ...  # pragma: no cover - protocol signature
-
-
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """One simulation run: an operating point plus run-level knobs.
+    """One simulation run: an operating point plus its run settings.
 
     ``encoded_state`` of None means the transmitter picks states uniformly
     at random per pulse; a fixed 0-3 value statically encodes that state
-    (used for truth-table characterization).  ``drift_model`` is any
-    object with ``rotation_at(time_s)``; the rotation is sampled once per
-    generation chunk, which is far shorter than physical drift timescales.
+    (used for truth-table characterization).
     """
 
     operating_point: OperatingPoint
@@ -164,7 +129,6 @@ class Scenario:
     seed: int
     jitter_sigma: float = 50.0
     encoded_state: int | None = None
-    drift_model: DriftLike | None = None
 
     def __post_init__(self) -> None:
         _require(self.n_pulses >= 1, "n_pulses", "must be at least 1")
@@ -295,10 +259,6 @@ class TagStream:
     def __len__(self) -> int:
         return len(self.time_ps)
 
-    @property
-    def n_reference_tags(self) -> int:
-        return self.n_pulses
-
     def reference_times(self, start: int, stop: int) -> np.ndarray:
         """Nominal sync times for pulses [start, stop), as int64 ps."""
         indices = np.arange(start, stop, dtype=np.int64)
@@ -336,25 +296,6 @@ class SimulationSummary:
     error_count: int
     truth_qber: float
     basis_z_fraction: float
-
-
-def sample_photon_number(
-    source: SourceModel,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> int | np.ndarray:
-    """Draw per-pulse photon numbers from the truncated {0, 1, 2} law.
-
-    P(2) = g2*n²/2 and P(1) = n − 2 P(2), so the mean is exactly the
-    source's effective mean photon number.  Raises if the pair (mean, g2)
-    does not describe a distribution.
-    """
-    p0, p1, p2 = source.photon_number_pmf()
-    u = rng.random(size)
-    counts = (u < p2) * 2 + ((u >= p2) & (u < p2 + p1)) * 1
-    if size is None:
-        return int(counts)
-    return counts.astype(np.uint8)
 
 
 def _survival_probability(point: OperatingPoint) -> float:
@@ -425,17 +366,6 @@ def _map_chunks(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_chunk, ranges))
     return [run_chunk(args) for args in ranges]
-
-
-def _rotated_state_table(
-    scenario: Scenario, start: int, count: int
-) -> np.ndarray:
-    """Stokes vectors of the four states after channel drift, this chunk."""
-    if scenario.drift_model is None:
-        return _STATE_STOKES
-    mid_time_s = (start + 0.5 * count) * scenario.period_ps * 1e-12
-    rotation = np.asarray(scenario.drift_model.rotation_at(mid_time_s))
-    return _STATE_STOKES @ rotation.T
 
 
 def _bernoulli_positions(
@@ -539,10 +469,11 @@ def _bb84_chunk(
     u_flip = rng.random(k)
 
     photon_states = states[owner]
-    vectors = _rotated_state_table(scenario, start, count)[photon_states]
-    # projection onto the measured basis axis: S1 for Z, S2 for X
-    inner = np.where(bob_basis == 0, vectors[:, 0], vectors[:, 1])
-    bit = (u_project < 0.5 * (1.0 - inner)).astype(np.uint8)
+    # a photon measured in its own basis reads its encoded bit; in the
+    # other basis it lands on either port with probability 1/2
+    bit = np.where(
+        bob_basis == photon_states >> 1, photon_states & 1, u_project < 0.5
+    ).astype(np.uint8)
     bit ^= (u_flip < link.misalignment_prob).astype(np.uint8)
 
     dark_times, dark_channels = _dark_tags(
@@ -734,22 +665,22 @@ def _pair_offsets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def simulate_g2_histogram(
-    scenario: Scenario,
-    bin_width_ps: float = 10.0,
-    side_periods: int = 5,
+    scenario: Scenario, bin_width_ps: float = 10.0
 ) -> "CorrelationHistogram":
     """Simulate an intensity-correlation (two-detector) measurement.
 
     The source stream is split 50:50 onto two detectors (the standard
     coincidence setup for measuring g²); every cross-detector pair with
-    delay inside ±(side_periods + ½) pulse periods lands in a histogram
-    bin.  Dead time applies per detector; polarization is irrelevant and
-    not simulated.
+    delay inside ±5½ pulse periods lands in a histogram bin.  Dead time
+    applies per detector; polarization is irrelevant and not simulated.
     """
     from .tagproc import CorrelationHistogram  # deferred: avoids cycle
 
-    _require(bin_width_ps > 0.0, "bin_width_ps", "must be positive")
-    _require(side_periods >= 3, "side_periods", "need at least 3 side peaks")
+    _require(
+        0.0 < bin_width_ps < math.inf,
+        "bin_width_ps",
+        "must be positive and finite",
+    )
 
     tags = _merge_sorted(
         _map_chunks(scenario, _hbt_chunk),
@@ -759,7 +690,7 @@ def simulate_g2_histogram(
 
     t0 = time_ps[detector == 0]
     t1 = time_ps[detector == 1]
-    half_span = (side_periods + 0.5) * scenario.period_ps
+    half_span = 5.5 * scenario.period_ps
     n_bins = max(1, int(round(2.0 * half_span / bin_width_ps)))
     origin = -0.5 * n_bins * bin_width_ps
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -789,91 +720,73 @@ def _pack_flags(stream: TagStream) -> np.ndarray:
     return flags
 
 
-def _iter_record_blocks(
-    stream: TagStream, include_reference: bool
-) -> Iterator[np.ndarray]:
-    """Yield record arrays in time order, reference tags interleaved.
+def _iter_record_blocks(stream: TagStream) -> Iterator[np.ndarray]:
+    """Record arrays in time order, reference tags interleaved.
 
     Blocks partition the detector tags at nominal pulse-block boundaries,
-    so memory stays flat however long the run is.
+    so memory stays flat however long the run is.  A stream without
+    pulses has no reference channel to write and raises at once.
     """
+    _require(stream.n_pulses >= 1, "n_pulses", "a tag file needs >= 1 pulse")
     flags = _pack_flags(stream)
-    if not include_reference or stream.n_pulses == 0:
-        block = np.empty(len(stream), dtype=_RECORD_DTYPE)
-        block["time_ps"] = stream.time_ps
-        block["channel"] = stream.channel
-        block["flags"] = flags
-        yield block
-        return
-    lo = 0
-    for start in range(0, stream.n_pulses, CHUNK_PULSES):
-        stop = min(start + CHUNK_PULSES, stream.n_pulses)
-        ref_times = stream.reference_times(start, stop)
-        if stop >= stream.n_pulses:
-            hi = len(stream)
-        else:
-            boundary = int(round(stop * stream.period_ps))
-            hi = int(np.searchsorted(stream.time_ps, boundary))
-        times = np.concatenate([stream.time_ps[lo:hi], ref_times])
-        chans = np.concatenate(
-            [
-                stream.channel[lo:hi],
-                np.full(len(ref_times), CHANNEL_REFERENCE, dtype=np.uint8),
-            ]
-        )
-        flag_block = np.concatenate(
-            [flags[lo:hi], np.zeros(len(ref_times), dtype=np.uint8)]
-        )
-        order = np.lexsort((chans, times))
-        block = np.empty(len(times), dtype=_RECORD_DTYPE)
-        block["time_ps"] = times[order]
-        block["channel"] = chans[order]
-        block["flags"] = flag_block[order]
-        yield block
-        lo = hi
+
+    def blocks() -> Iterator[np.ndarray]:
+        lo = 0
+        for start in range(0, stream.n_pulses, CHUNK_PULSES):
+            stop = min(start + CHUNK_PULSES, stream.n_pulses)
+            ref_times = stream.reference_times(start, stop)
+            if stop >= stream.n_pulses:
+                hi = len(stream)
+            else:
+                boundary = int(round(stop * stream.period_ps))
+                hi = int(np.searchsorted(stream.time_ps, boundary))
+            times = np.concatenate([stream.time_ps[lo:hi], ref_times])
+            chans = np.concatenate(
+                [
+                    stream.channel[lo:hi],
+                    np.full(len(ref_times), CHANNEL_REFERENCE, dtype=np.uint8),
+                ]
+            )
+            flag_block = np.concatenate(
+                [flags[lo:hi], np.zeros(len(ref_times), dtype=np.uint8)]
+            )
+            order = np.lexsort((chans, times))
+            block = np.empty(len(times), dtype=_RECORD_DTYPE)
+            block["time_ps"] = times[order]
+            block["channel"] = chans[order]
+            block["flags"] = flag_block[order]
+            yield block
+            lo = hi
+
+    return blocks()
 
 
-def write_tags(
-    stream: TagStream, path: str | Path, include_reference: bool = True
-) -> None:
+def write_tags(stream: TagStream, path: str | Path) -> None:
     """Write the stream as packed little-endian 10-byte records."""
+    blocks = _iter_record_blocks(stream)
     with open(path, "wb") as handle:
-        for block in _iter_record_blocks(stream, include_reference):
+        for block in blocks:
             handle.write(block.tobytes())
 
 
-def read_tags(
-    path: str | Path,
-    n_pulses: int | None = None,
-    period_ps: float | None = None,
-) -> TagStream:
+def read_tags(path: str | Path) -> TagStream:
     """Read a packed tag file back into a stream.
 
-    Pulse count and period are reconstructed from the reference tags; for
-    files written without them, pass ``n_pulses`` and ``period_ps``.
+    Pulse count and period are reconstructed from the reference tags.
     """
     raw = np.fromfile(path, dtype=_RECORD_DTYPE)
     size = Path(path).stat().st_size
     _require(raw.nbytes == size, "tags", "file ends inside a record")
-    return _stream_from_records(raw, n_pulses, period_ps)
+    return _stream_from_records(raw)
 
 
-def _stream_from_records(
-    raw: np.ndarray, n_pulses: int | None, period_ps: float | None
-) -> TagStream:
+def _stream_from_records(raw: np.ndarray) -> TagStream:
     """Decode tag records of either file format into a stream."""
     is_ref = raw["channel"] == CHANNEL_REFERENCE
-    n_ref = int(is_ref.sum())
-    if n_ref >= 2:
-        ref_times = raw["time_ps"][is_ref]
-        n_pulses = n_ref
-        period_ps = (int(ref_times[-1]) - int(ref_times[0])) / (n_ref - 1)
-    elif n_pulses is None or period_ps is None:
-        raise ParameterError(
-            "tags",
-            "tag file has no reference channel; pass n_pulses and "
-            "period_ps explicitly",
-        )
+    n_pulses = int(is_ref.sum())
+    _require(n_pulses >= 2, "tags", "tag file needs >= 2 reference tags")
+    ref_times = raw["time_ps"][is_ref]
+    period_ps = (int(ref_times[-1]) - int(ref_times[0])) / (n_pulses - 1)
     _require(period_ps > 0.0, "tags", "pulse period must be positive")
     det = raw[~is_ref]
     known = det["channel"] < CHANNEL_REFERENCE
@@ -891,16 +804,14 @@ def _stream_from_records(
             (flags & _FLAG_PHOTONS_MASK) >> _FLAG_PHOTONS_SHIFT
         ).astype(np.uint8),
         dark=(flags & _FLAG_DARK) != 0,
-        n_pulses=int(n_pulses),
-        period_ps=float(period_ps),
+        n_pulses=n_pulses,
+        period_ps=period_ps,
     )
 
 
-def write_tags_csv(
-    stream: TagStream, path: str | Path, include_reference: bool = True
-) -> None:
+def write_tags_csv(stream: TagStream, path: str | Path) -> None:
     """Write the stream as CSV with channels and states as letters."""
-    blocks = _iter_record_blocks(stream, include_reference)
+    blocks = _iter_record_blocks(stream)
     write_table(path, _CSV_HEADER, chain.from_iterable(map(_csv_rows, blocks)))
 
 
@@ -918,11 +829,7 @@ def _csv_rows(block: np.ndarray) -> Iterator[tuple]:
     )
 
 
-def read_tags_csv(
-    path: str | Path,
-    n_pulses: int | None = None,
-    period_ps: float | None = None,
-) -> TagStream:
+def read_tags_csv(path: str | Path) -> TagStream:
     """Read the CSV tag format back into a stream."""
     time_ps, channel, state, photons, dark = read_table(
         path, "tags", _CSV_HEADER, _CSV_PARSERS
@@ -933,4 +840,4 @@ def read_tags_csv(
     raw["flags"] = np.bitwise_or.reduce(
         np.array([state, photons, dark], dtype=np.uint8)
     )
-    return _stream_from_records(raw, n_pulses, period_ps)
+    return _stream_from_records(raw)

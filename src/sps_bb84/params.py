@@ -11,7 +11,6 @@ therefore safe to share across threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -284,11 +283,6 @@ class LinkModel:
             return self.receiver_efficiency
         return self.receiver_efficiency * self.detector_efficiency
 
-    @property
-    def link_length_km(self) -> float:
-        """Equivalent fibre length of the configured channel loss."""
-        return loss_to_length(self.channel_loss_db, self.fibre_attenuation)
-
     def dark_prob_total(self, clock_rate: float) -> float:
         """Combined dark-count probability per pulse window, all detectors.
 
@@ -366,9 +360,6 @@ class ProtocolParams:
 
     def with_clock_rate(self, clock_rate: float) -> "ProtocolParams":
         return replace(self, clock_rate=clock_rate)
-
-    def with_block_size(self, block_size: float) -> "ProtocolParams":
-        return replace(self, block_size=block_size)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from .keyrate import qber_total
-from .params import OperatingPoint, ParameterError, _require
+from .params import OperatingPoint, _require
 
 __all__ = [
     "CompensationTrace",
@@ -183,8 +183,9 @@ def apply_drift(state: PolarizationDrift, dt: float) -> PolarizationDrift:
     counter-based generator indexed by the walk step, so the trajectory
     is reproducible and independent of call batching.
     """
-    _require(dt >= 0.0, "dt", "must be >= 0")
+    _require(0.0 <= dt < math.inf, "dt", "must be finite and >= 0")
     angle = state.drift_rate * dt
+    _require(math.isfinite(angle), "drift_rate", "times dt must be finite")
     if angle == 0.0:
         return replace(state, step=state.step + 1)
     bit_generator = np.random.Philox(key=state.seed)
@@ -480,14 +481,13 @@ def track_compensation(
     n_steps: int,
     dt: float,
     probes_per_step: int = 6,
-    tracking_step: float = math.pi / 180.0,
     probe_photons: int | None = None,
     probe_seed: int = 0,
 ) -> tuple[PolarizationDrift, CompensatorState, CompensationTrace]:
     """Run the feedback loop against an evolving drift.
 
     Each cycle advances the drift by ``dt`` and spends a small probe
-    budget nudging the plates at a fixed ``tracking_step`` (no step
+    budget nudging the plates at a fixed one-degree step (no step
     shrink -- the loop must stay responsive).  The recorded residual is
     the exact error rate after the cycle's adjustment, even when the
     probes themselves are shot-noise limited.
@@ -497,6 +497,7 @@ def track_compensation(
     _require(probes_per_step >= 1, "probes_per_step", "must be >= 1")
     probe_rng = np.random.default_rng(probe_seed)
     floor = qber_total(point)
+    step = math.pi / 180.0
 
     times = np.empty(n_steps, dtype=np.float64)
     angles = np.empty(n_steps, dtype=np.float64)
@@ -517,8 +518,8 @@ def track_compensation(
             compensator,
             probe,
             budget=probes_per_step,
-            initial_step=tracking_step,
-            min_step=tracking_step,
+            initial_step=step,
+            min_step=step,
         )
         times[index] = (index + 1) * dt
         angles[index] = drift.rotation_angle

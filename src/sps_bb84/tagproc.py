@@ -24,7 +24,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from .keyrate import KeyRateReport, skb_per_pulse
-from .montecarlo import CHANNEL_REFERENCE, TagStream
+from .montecarlo import TagStream
 from .params import OperatingPoint, ParameterError, _require
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "write_truth_table_csv",
 ]
 
-
 class InsufficientStatisticsError(RuntimeError):
     """Raised when a histogram has too few counts for a stable estimate."""
 
@@ -60,7 +59,11 @@ class CorrelationHistogram:
     origin_ps: float
 
     def __post_init__(self) -> None:
-        _require(self.bin_width_ps > 0.0, "bin_width_ps", "must be positive")
+        _require(
+            0.0 < self.bin_width_ps < math.inf,
+            "bin_width_ps",
+            "must be positive and finite",
+        )
         counts = np.asarray(self.counts, dtype=np.int64)
         _require(len(counts) >= 1, "counts", "histogram needs >= 1 bin")
         _require(bool((counts >= 0).all()), "counts", "must be non-negative")
@@ -177,42 +180,19 @@ def _previous_reference_delays(
 
 
 def correlate(
-    stream: TagStream,
-    reference_channel: int = CHANNEL_REFERENCE,
-    bin_width_ps: float = 10.0,
+    stream: TagStream, bin_width_ps: float = 10.0
 ) -> CorrelationHistogram:
-    """Histogram detector tags against the previous reference tag.
+    """Histogram detector tags against the previous sync (reference) tag.
 
-    With the sync channel as reference (the default), delays span one
-    pulse period.  Any detector channel can serve as reference instead,
-    in which case the remaining channels are correlated against it.
+    Delays span one pulse period.
     """
-    _require(bin_width_ps > 0.0, "bin_width_ps", "must be positive")
-    if reference_channel == CHANNEL_REFERENCE:
-        delays, _ = _previous_reference_delays(stream)
-        n_bins = max(1, math.ceil((stream.period_ps + 1.0) / bin_width_ps))
-    else:
-        _require(
-            0 <= reference_channel < CHANNEL_REFERENCE,
-            "reference_channel",
-            "must be a detector channel or the sync channel",
-        )
-        ref_times = stream.time_ps[stream.channel == reference_channel]
-        if len(ref_times) == 0:
-            raise ParameterError(
-                "reference_channel", "stream has no tags on that channel"
-            )
-        signal = stream.time_ps[stream.channel != reference_channel]
-        idx = np.searchsorted(ref_times, signal, side="right") - 1
-        keep = idx >= 0
-        delays = (signal[keep] - ref_times[idx[keep]]).astype(np.float64)
-        if len(delays) == 0:
-            return CorrelationHistogram(
-                bin_width_ps=bin_width_ps,
-                counts=np.zeros(1, dtype=np.int64),
-                origin_ps=0.0,
-            )
-        n_bins = max(1, math.ceil((delays.max() + 1.0) / bin_width_ps))
+    _require(
+        0.0 < bin_width_ps < math.inf,
+        "bin_width_ps",
+        "must be positive and finite",
+    )
+    delays, _ = _previous_reference_delays(stream)
+    n_bins = max(1, math.ceil((stream.period_ps + 1.0) / bin_width_ps))
     counts = np.zeros(n_bins, dtype=np.int64)
     if len(delays):
         bins = np.floor(delays / bin_width_ps).astype(np.int64)
@@ -227,20 +207,18 @@ def fit_lifetime(
     histogram: CorrelationHistogram,
     min_delay_ps: float = 200.0,
     max_delay_ps: float | None = None,
-    min_counts: float = 30.0,
 ) -> float:
     """Exponential decay constant of a sync-correlation histogram, in ps.
 
     Weighted least squares on the log counts, restricted to delays past
     the jitter-smeared prompt edge and before the wrap-around tail.
-    Bins below ``min_counts`` are dropped — sparse tail bins otherwise
+    Bins below 30 counts are dropped — sparse tail bins otherwise
     drag the slope — and a second pass re-selects and re-weights bins by
     the first pass's predicted counts, which removes the selection and
     weight-correlation biases that observed counts would introduce.
     """
     if max_delay_ps is None:
         max_delay_ps = 0.8 * histogram.span_ps
-    _require(min_counts >= 1.0, "min_counts", "must be >= 1")
     centers = histogram.bin_centers()
     counts = histogram.counts.astype(np.float64)
     in_range = (centers >= min_delay_ps) & (centers <= max_delay_ps)
@@ -254,7 +232,7 @@ def fit_lifetime(
         z = np.log(y) + 0.5 / y
         return tuple(np.polyfit(x, z, 1, w=np.sqrt(weights)))
 
-    usable = in_range & (counts >= min_counts)
+    usable = in_range & (counts >= 30.0)
     if usable.sum() < 3:
         raise InsufficientStatisticsError(
             "need at least 3 populated bins inside the fit range"
@@ -262,7 +240,7 @@ def fit_lifetime(
     slope, intercept = weighted_fit(usable, counts[usable])
     if slope < 0.0:
         predicted = np.exp(intercept + slope * centers)
-        refined = in_range & (predicted >= min_counts) & (counts > 0)
+        refined = in_range & (predicted >= 30.0) & (counts > 0)
         if refined.sum() >= 3:
             slope, _ = weighted_fit(refined, predicted[refined])
     if slope >= 0.0:
@@ -275,18 +253,16 @@ def fit_lifetime(
 def g2_zero(
     histogram: CorrelationHistogram,
     period_ps: float,
-    exclude_nearest: int = 1,
-    min_side_counts: int = 100,
     lifetime_ps: float | None = None,
 ) -> G2Estimate:
     """Central-peak to side-peak coincidence ratio of a pair histogram.
 
     Peak windows are period-wide intervals centred on integer multiples
     of the pulse period; only fully covered windows count.  The nearest
-    ``exclude_nearest`` side peaks on each side are skipped: they border
-    the central peak, so their window totals differ slightly from the
-    outer (uniform) side peaks.  Counts are compared per bin (density),
-    so a flat histogram gives exactly 1.
+    side peak on each side is skipped: it borders the central peak, so
+    its window total differs slightly from the outer (uniform) side
+    peaks.  Counts are compared per bin (density), so a flat histogram
+    gives exactly 1, and the side peaks must hold at least 100 counts.
 
     Exponential emission tails longer than half a period spill pair
     delays into neighbouring peak windows, inflating the raw ratio — the
@@ -305,7 +281,6 @@ def g2_zero(
     ratio is returned.
     """
     _require(period_ps > 0.0, "period_ps", "must be positive")
-    _require(exclude_nearest >= 0, "exclude_nearest", "must be >= 0")
     if lifetime_ps is not None:
         _require(lifetime_ps > 0.0, "lifetime_ps", "must be positive")
     centers = histogram.bin_centers()
@@ -321,7 +296,7 @@ def g2_zero(
     side_counts = 0
     n_side = 0
     for peak in range(peak_lo, peak_hi + 1):
-        if 0 < abs(peak) <= exclude_nearest:
+        if abs(peak) == 1:
             continue
         window = (centers >= (peak - 0.5) * period_ps) & (
             centers < (peak + 0.5) * period_ps
@@ -342,10 +317,9 @@ def g2_zero(
         raise InsufficientStatisticsError(
             "need at least 3 fully covered side peaks"
         )
-    if side_counts < min_side_counts:
+    if side_counts < 100:
         raise InsufficientStatisticsError(
-            f"side peaks hold {side_counts} counts; "
-            f"need >= {min_side_counts}"
+            f"side peaks hold {side_counts} counts; need >= 100"
         )
     center_density = center_counts / center_bins
     side_density = side_counts / side_bins
@@ -450,7 +424,6 @@ def optimize_temporal_window(
     objective: Literal["asymptotic", "finite"] = "asymptotic",
     block_size: float | None = None,
     g2_histogram: CorrelationHistogram | None = None,
-    stride: int | None = None,
 ) -> TemporalWindowResult:
     """Choose the acceptance window that maximizes the key fraction.
 
@@ -461,7 +434,8 @@ def optimize_temporal_window(
     rate chain as extra receiver transmission and a rescaled dark-count
     probability — multiphoton emission is untouched, which is exactly why
     narrowing the window can win.  The full window is always a candidate,
-    so the result is never worse than no filtering.
+    so the result is never worse than no filtering.  Window edges step
+    by 1/80 of the histogram span (at least one bin).
 
     If a coincidence ``g2_histogram`` is supplied, its measured g²(0)
     replaces the configured source value before the search.
@@ -488,8 +462,7 @@ def optimize_temporal_window(
     signal_total = float(max(counts.sum() - floor * n_bins, 1e-12))
     prefix = np.concatenate([[0.0], np.cumsum(counts)])
 
-    if stride is None:
-        stride = max(1, n_bins // 80)
+    stride = max(1, n_bins // 80)
 
     def evaluate(start: int, width: int) -> tuple[KeyRateReport,
                                                   OperatingPoint, float]:

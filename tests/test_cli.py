@@ -116,6 +116,38 @@ class TestParsing:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["simulate", "--g2", "--pulses", "1000", "--bin-width", "inf"],
+             "bin_width_ps"),
+            (["analyze", "--tags", "{tags}", "--bin-width", "inf"],
+             "bin_width_ps"),
+            (["polcomp", "--drift-rate", "inf", "--steps", "3"],
+             "drift_rate"),
+            (["polcomp", "--dt", "inf", "--steps", "3"], "dt"),
+            (["mtl", "--regimes", "inf"], "block_size"),
+            (["keyrate", "--regime", "finite", "--block-size", "inf"],
+             "block_size"),
+        ],
+        ids=[
+            "simulate-g2", "analyze", "drift-rate", "dt", "mtl", "keyrate"
+        ],
+    )
+    def test_non_finite_option_is_validation_error(
+        self, tmp_path, capsys, argv, field
+    ):
+        tags = tmp_path / "tags.csv"
+        tags.write_text(
+            "time_ps,channel,truth_state,truth_photons,dark\n"
+            "0,REF,,0,0\n100,H,H,1,0\n4386,REF,,0,0\n"
+        )
+        out_dir = tmp_path / "run"
+        argv = [arg.format(tags=tags) for arg in argv]
+        assert main([*argv, "--out", str(out_dir)]) == EXIT_VALIDATION
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_thread_env_var_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPS_BB84_THREADS", "lots")
         code = main(

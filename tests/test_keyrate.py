@@ -18,7 +18,6 @@ from sps_bb84.keyrate import (
     multiphoton_bound,
     optimize_operating_point,
     qber_total,
-    rate_after_deadtime,
     read_dataset_csv,
     skb_per_pulse,
     sweep,
@@ -59,29 +58,17 @@ def clean_point(loss_db: float = 0.0) -> OperatingPoint:
 # multiphoton emission bound
 # ---------------------------------------------------------------------------
 
-def test_multiphoton_bound_at_first_lens():
-    value = multiphoton_bound(TABLE_POINT.source, "first_lens")
-    assert value == pytest.approx(2.313846e-4, rel=1e-6)
-
-
 def test_multiphoton_bound_after_transmitter():
-    value = multiphoton_bound(
-        TABLE_POINT.source, "channel_input",
-        transmitter_efficiency=TABLE_POINT.link.transmitter_efficiency,
-    )
+    value = multiphoton_bound(TABLE_POINT)
     assert value == pytest.approx(4.98161788416e-5, rel=1e-12)
 
 
 def test_multiphoton_bound_scales_with_square_of_attenuation():
-    half = TABLE_POINT.source.with_pre_attenuation(0.5)
-    full = multiphoton_bound(TABLE_POINT.source, "first_lens")
-    cut = multiphoton_bound(half, "first_lens")
-    assert cut == pytest.approx(0.25 * full, rel=1e-12)
-
-
-def test_multiphoton_bound_rejects_unknown_plane():
-    with pytest.raises(ParameterError):
-        multiphoton_bound(TABLE_POINT.source, "detector")
+    half = TABLE_POINT.with_source(
+        TABLE_POINT.source.with_pre_attenuation(0.5)
+    )
+    full = multiphoton_bound(TABLE_POINT)
+    assert multiphoton_bound(half) == pytest.approx(0.25 * full, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +120,6 @@ def test_loss_sweep_sums_the_blocked_windows_once():
     info = keyrate._blocked_windows.cache_info()
     assert info.misses == 1
     assert info.hits == 600
-
-
-def test_rate_after_deadtime_frozen_value():
-    assert rate_after_deadtime(1e6, 35.865) == pytest.approx(
-        9.653768e5, rel=1e-6
-    )
-
-
-def test_rate_after_deadtime_caps_at_inverse_deadtime():
-    ceiling = 1e9 / 35.865
-    assert rate_after_deadtime(1e12, 35.865) < ceiling
-    assert rate_after_deadtime(1e12, 35.865) == pytest.approx(
-        ceiling, rel=1e-3
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sps_bb84.montecarlo import (
     _philox,
     _photon_events,
     _survival_probability,
-    sample_photon_number,
     simulate_g2_histogram,
     simulate_run,
     stream_statistics,
@@ -51,10 +50,6 @@ def forced_source(mean: float, g2: float) -> SourceModel:
     object.__setattr__(src, "lifetime", 592.5)
     object.__setattr__(src, "pre_attenuation", 1.0)
     return src
-
-
-def philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,41 +89,9 @@ def test_scenario_period_matches_clock():
 # per-pulse photon statistics
 # ---------------------------------------------------------------------------
 
-def test_photon_sampler_scalar_mode_returns_python_int():
-    value = sample_photon_number(SourceModel(), philox(8))
-    assert isinstance(value, int)
-    assert value in (0, 1, 2)
-
-
-def test_photon_sampler_pure_source_is_bernoulli():
-    counts = sample_photon_number(
-        SourceModel(g2_zero=0.0), philox(8), 1_000_000
-    )
-    assert counts.max() <= 1
-    sigma = np.sqrt(0.138 * (1.0 - 0.138) / 1_000_000)
-    assert abs(counts.mean() - 0.138) < 3.0 * sigma
-
-
-def test_photon_sampler_mean_matches_source():
-    counts = sample_photon_number(SourceModel(), philox(7), 10_000_000)
-    p2 = 0.5 * 0.0243 * 0.138**2
-    variance = (0.138 - 2.0 * p2) + 4.0 * p2 - 0.138**2
-    sigma = np.sqrt(variance / 10_000_000)
-    assert abs(counts.mean() - 0.138) < 3.0 * sigma
-
-
-def test_photon_sampler_pair_fraction_recovers_g2():
-    counts = sample_photon_number(SourceModel(), philox(7), 10_000_000)
-    mean = counts.mean()
-    p2 = (counts == 2).mean()
-    estimate = 2.0 * p2 / mean**2
-    sigma = 0.0243 / np.sqrt(p2 * 10_000_000)
-    assert abs(estimate - 0.0243) < 3.0 * sigma
-
-
 def test_photon_sampler_rejects_invalid_distribution():
     with pytest.raises(ParameterError, match="g2_zero"):
-        sample_photon_number(forced_source(1.4, 0.9), philox(1), 10)
+        forced_source(1.4, 0.9).photon_number_pmf()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +128,27 @@ def test_event_configurations_follow_conditional_law():
     q = weights.sum()
     expected = q * sc.n_pulses
     assert abs(total - expected) < 4.0 * math.sqrt(expected * (1.0 - q))
+
+
+def test_matched_basis_photons_read_their_encoded_bit():
+    # without misalignment or dark counts the projection is exact in the
+    # photon's own basis and a fair coin in the other one
+    point = OperatingPoint(
+        link=LinkModel(
+            channel_loss_db=0.0, dark_count_prob=0.0, misalignment_prob=0.0
+        )
+    )
+    sc = Scenario(operating_point=point, n_pulses=200_000, seed=12)
+    _, stream = simulate_run(sc)
+    assert not stream.dark.any()
+    channel, truth = stream.channel, stream.truth_state
+    matched = (channel >> 1) == (truth >> 1)
+    assert matched.sum() > 1_000
+    np.testing.assert_array_equal(channel[matched] & 1, truth[matched] & 1)
+    crossed = ~matched
+    ones = int((channel[crossed] & 1).sum())
+    n = int(crossed.sum())
+    assert abs(ones - 0.5 * n) < 4.0 * math.sqrt(0.25 * n)
 
 
 def test_paper_scale_run_cost_follows_detections():
@@ -501,25 +485,39 @@ def test_binary_round_trip_with_reference(tmp_path):
     assert_streams_equal(stream, read_tags(path))
 
 
-def test_binary_round_trip_without_reference(tmp_path):
-    from sps_bb84.montecarlo import read_tags, write_tags
-
-    stream = run_small_stream()
-    path = tmp_path / "tags_noref.bin"
-    write_tags(stream, path, include_reference=False)
-    back = read_tags(path, n_pulses=stream.n_pulses,
-                     period_ps=stream.period_ps)
-    assert_streams_equal(stream, back)
-
-
 def test_reading_referenceless_file_needs_explicit_geometry(tmp_path):
-    from sps_bb84.montecarlo import read_tags, write_tags
+    # the pulse count and period come from the reference tags alone, so
+    # a file with fewer than two of them cannot be read
+    from sps_bb84.montecarlo import read_tags
 
-    stream = run_small_stream()
     path = tmp_path / "tags_noref.bin"
-    write_tags(stream, path, include_reference=False)
-    with pytest.raises(ParameterError):
-        read_tags(path)
+    for channels in ([0, 1], [0, CHANNEL_REFERENCE, 1]):
+        records = np.zeros(len(channels), dtype=montecarlo._RECORD_DTYPE)
+        records["time_ps"] = 100 * np.arange(len(channels))
+        records["channel"] = channels
+        records.tofile(path)
+        with pytest.raises(ParameterError, match="tags: .* reference"):
+            read_tags(path)
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_writers_reject_stream_without_pulses(tmp_path, suffix):
+    from sps_bb84.montecarlo import TagStream, write_tags, write_tags_csv
+
+    stream = TagStream(
+        time_ps=np.array([100], dtype=np.int64),
+        channel=np.array([0], dtype=np.uint8),
+        truth_state=np.array([0], dtype=np.uint8),
+        truth_photons=np.array([1], dtype=np.uint8),
+        dark=np.array([False]),
+        n_pulses=0,
+        period_ps=4386.0,
+    )
+    path = tmp_path / f"tags.{suffix}"
+    writer = write_tags if suffix == "bin" else write_tags_csv
+    with pytest.raises(ParameterError, match="n_pulses"):
+        writer(stream, path)
+    assert not path.exists()
 
 
 def test_csv_round_trip(tmp_path):

@@ -152,28 +152,15 @@ def test_correlate_counts_every_nonnegative_tag():
     assert h.total() == int((stream.time_ps >= 0).sum())
 
 
-def test_correlate_against_detector_channel():
-    times = [-5, 0, 250, 1000, 1700, 2000, 2500]
-    chans = [1, 0, 1, 0, 1, 0, 1]
-    h = correlate(make_stream(times, chans), reference_channel=0)
-    # delays: 250, 700, 500; the tag at -5 ps precedes every reference
-    assert h.total() == 3
-    assert h.counts[25] == 1
-    assert h.counts[70] == 1
-    assert h.counts[50] == 1
-
-
-def test_correlate_rejects_silent_reference_channel():
-    with pytest.raises(ParameterError, match="reference_channel"):
-        correlate(make_stream([100], [0]), reference_channel=2)
-
-
 def test_correlate_rejects_bad_arguments():
     stream = make_stream([100], [0])
-    with pytest.raises(ParameterError):
-        correlate(stream, reference_channel=7)
-    with pytest.raises(ParameterError):
-        correlate(stream, bin_width_ps=0.0)
+    for width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="bin_width_ps"):
+            correlate(stream, bin_width_ps=width)
+    with pytest.raises(ParameterError, match="bin_width_ps"):
+        CorrelationHistogram(
+            bin_width_ps=math.inf, counts=np.zeros(1), origin_ps=0.0
+        )
 
 
 def test_correlate_requires_pulses():
@@ -330,9 +317,6 @@ def test_raw_g2_inflates_with_clock_rate():
 def test_g2_argument_validation(pair_histogram_default):
     with pytest.raises(ParameterError):
         g2_zero(pair_histogram_default, period_ps=0.0)
-    with pytest.raises(ParameterError):
-        g2_zero(pair_histogram_default, period_ps=PERIOD_PS,
-                exclude_nearest=-1)
     with pytest.raises(ParameterError):
         g2_zero(pair_histogram_default, period_ps=PERIOD_PS,
                 lifetime_ps=0.0)
