@@ -724,10 +724,13 @@ def _iter_record_blocks(stream: TagStream) -> Iterator[np.ndarray]:
     """Record arrays in time order, reference tags interleaved.
 
     Blocks partition the detector tags at nominal pulse-block boundaries,
-    so memory stays flat however long the run is.  A stream without
-    pulses has no reference channel to write and raises at once.
+    so memory stays flat however long the run is.  A reader recovers the
+    pulse period from two reference tags, so a stream of fewer than two
+    pulses would write an unreadable file and raises at once.
     """
-    _require(stream.n_pulses >= 1, "n_pulses", "a tag file needs >= 1 pulse")
+    _require(
+        stream.n_pulses >= 2, "n_pulses", "a tag file needs >= 2 pulses"
+    )
     flags = _pack_flags(stream)
 
     def blocks() -> Iterator[np.ndarray]:

@@ -17,10 +17,11 @@ cover.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,6 +57,8 @@ _H = np.array([1.0, 0.0], dtype=np.complex128)
 _V = np.array([0.0, 1.0], dtype=np.complex128)
 _D = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
 _A = np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0)
+_V_CONJ = _V.conj()
+_A_CONJ = _A.conj()
 
 #: tolerance on ||U*U - I|| accepted from constructors and preserved
 #: by arbitrarily long drift composition
@@ -93,12 +96,26 @@ def waveplate(angle: float, retardance: float) -> np.ndarray:
     return frame @ phases @ frame.T
 
 
+#: plate and stack matrices kept per wrapped angle: the tracking loop's
+#: one-degree probe moves revisit a few hundred angle sets over
+#: thousands of probes, so nearly every probe reuses a cached matrix
+_PLATE_CACHE_SIZE = 1024
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """Freeze a cached matrix so that no caller can alter the cache."""
+    matrix.flags.writeable = False
+    return matrix
+
+
+@functools.lru_cache(maxsize=_PLATE_CACHE_SIZE)
 def _quarter_wave(angle: float) -> np.ndarray:
-    return waveplate(angle, math.pi / 2.0)
+    return _read_only(waveplate(angle, math.pi / 2.0))
 
 
+@functools.lru_cache(maxsize=_PLATE_CACHE_SIZE)
 def _half_wave(angle: float) -> np.ndarray:
-    return waveplate(angle, math.pi)
+    return _read_only(waveplate(angle, math.pi))
 
 
 def _reorthonormalize(matrix: np.ndarray) -> np.ndarray:
@@ -176,31 +193,59 @@ class PolarizationDrift:
         return 2.0 * math.acos(half_cos)
 
 
+#: walk steps whose uniforms :func:`_drift_walk` draws at once
+_WALK_BLOCK = 1024
+
+
+def _drift_walk(
+    state: PolarizationDrift, dt: float, n_steps: int
+) -> Iterator[PolarizationDrift]:
+    """The walk's states after each of ``n_steps`` increments of ``dt``.
+
+    Step k's axis comes from the first two of the 16 doubles that
+    ``Philox(key=seed)`` yields from counter 4k on, so one generator,
+    advanced once and read in blocks, gives every step the pair that a
+    generator built for that step alone would.
+    """
+    _require(0.0 <= dt < math.inf, "dt", "must be finite and >= 0")
+    angle = state.drift_rate * dt
+    _require(math.isfinite(angle), "drift_rate", "times dt must be finite")
+    if angle == 0.0:
+        for _ in range(n_steps):
+            state = replace(state, step=state.step + 1)
+            yield state
+        return
+    bit_generator = np.random.Philox(key=state.seed)
+    bit_generator.advance(4 * state.step)
+    rng = np.random.Generator(bit_generator)
+    for start in range(0, n_steps, _WALK_BLOCK):
+        count = min(_WALK_BLOCK, n_steps - start)
+        block = rng.random(16 * count).reshape(count, 16)
+        for u_z, u_azimuth in block[:, :2].tolist():
+            z = 2.0 * u_z - 1.0
+            azimuth = 2.0 * math.pi * u_azimuth
+            radial = math.sqrt(max(0.0, 1.0 - z * z))
+            axis = (radial * math.cos(azimuth), radial * math.sin(azimuth), z)
+            composed = rotation_from_axis_angle(axis, angle) @ state.rotation
+            state = PolarizationDrift(
+                rotation=_reorthonormalize(composed),
+                drift_rate=state.drift_rate,
+                seed=state.seed,
+                step=state.step + 1,
+            )
+            yield state
+
+
 def apply_drift(state: PolarizationDrift, dt: float) -> PolarizationDrift:
     """Compose one random-walk increment of magnitude drift_rate*dt.
 
     The increment axis is uniform on the Poincare sphere, drawn from a
     counter-based generator indexed by the walk step, so the trajectory
     is reproducible and independent of call batching.
+    :func:`track_compensation` relies on this: it draws a whole run's
+    axes from one generator and matches step-by-step calls bit for bit.
     """
-    _require(0.0 <= dt < math.inf, "dt", "must be finite and >= 0")
-    angle = state.drift_rate * dt
-    _require(math.isfinite(angle), "drift_rate", "times dt must be finite")
-    if angle == 0.0:
-        return replace(state, step=state.step + 1)
-    bit_generator = np.random.Philox(key=state.seed)
-    bit_generator.advance(4 * state.step)
-    rng = np.random.Generator(bit_generator)
-    z = 2.0 * rng.random() - 1.0
-    azimuth = 2.0 * math.pi * rng.random()
-    radial = math.sqrt(max(0.0, 1.0 - z * z))
-    axis = (radial * math.cos(azimuth), radial * math.sin(azimuth), z)
-    composed = rotation_from_axis_angle(axis, angle) @ state.rotation
-    return replace(
-        state,
-        rotation=_reorthonormalize(composed),
-        step=state.step + 1,
-    )
+    return next(_drift_walk(state, dt, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +291,34 @@ class CompensatorState:
         return (self.qwp_angle, self.hwp_angle, self.exit_qwp_angle)
 
     def with_angles(self, angles: tuple[float, ...]) -> "CompensatorState":
-        if self.plates == 2:
-            return replace(
-                self, qwp_angle=angles[0], hwp_angle=angles[1]
-            )
-        return replace(
-            self,
+        exit_qwp_angle = (
+            self.exit_qwp_angle if self.plates == 2 else angles[2]
+        )
+        return type(self)(
             qwp_angle=angles[0],
             hwp_angle=angles[1],
-            exit_qwp_angle=angles[2],
+            exit_qwp_angle=exit_qwp_angle,
+            plates=self.plates,
+            qber_estimate=self.qber_estimate,
+            iterations=self.iterations,
+            budget_exhausted=self.budget_exhausted,
         )
 
     def jones(self) -> np.ndarray:
         """Jones matrix of the stack in light-propagation order."""
-        stack = _half_wave(self.hwp_angle) @ _quarter_wave(self.qwp_angle)
-        if self.plates == 3:
-            stack = _quarter_wave(self.exit_qwp_angle) @ stack
-        return stack
+        return _stack_jones(
+            self.qwp_angle, self.hwp_angle, self.exit_qwp_angle, self.plates
+        )
+
+
+@functools.lru_cache(maxsize=_PLATE_CACHE_SIZE)
+def _stack_jones(
+    qwp_angle: float, hwp_angle: float, exit_qwp_angle: float, plates: int
+) -> np.ndarray:
+    stack = _half_wave(hwp_angle) @ _quarter_wave(qwp_angle)
+    if plates == 3:
+        stack = _quarter_wave(exit_qwp_angle) @ stack
+    return _read_only(stack)
 
 
 def residual_rotation(
@@ -276,8 +332,8 @@ def _error_rates(
     drift: PolarizationDrift, compensator: CompensatorState, floor: float
 ) -> tuple[float, float]:
     net = residual_rotation(drift, compensator)
-    leak_z = float(abs(_V.conj() @ net @ _H) ** 2)
-    leak_x = float(abs(_A.conj() @ net @ _D) ** 2)
+    leak_z = float(abs(_V_CONJ @ net @ _H) ** 2)
+    leak_x = float(abs(_A_CONJ @ net @ _D) ** 2)
     return (
         floor + (1.0 - 2.0 * floor) * leak_z,
         floor + (1.0 - 2.0 * floor) * leak_x,
@@ -504,9 +560,7 @@ def track_compensation(
     residuals = np.empty(n_steps, dtype=np.float64)
     probes = np.empty(n_steps, dtype=np.int64)
 
-    for index in range(n_steps):
-        drift = apply_drift(drift, dt)
-
+    for index, drift in enumerate(_drift_walk(drift, dt, n_steps)):
         def probe(state: CompensatorState) -> float:
             return _measured_qber(
                 drift, state, floor,

@@ -6,6 +6,7 @@ files under each run directory can be asserted directly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -533,6 +534,28 @@ class TestSimulateAnalyze:
         assert "empty" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_simulate_single_pulse_is_validation_error(
+        self, tmp_path, capsys, fmt
+    ):
+        # a tag file with one reference tag cannot be read back, so the
+        # writer refuses it before anything lands in the run directory
+        out_dir = tmp_path / "sim"
+        code = main(
+            [
+                "simulate",
+                "--pulses",
+                "1",
+                "--format",
+                fmt,
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "error: n_pulses: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "row", ["100,H,Q,1,0", "100.5,H,H,1,0"], ids=["state", "time"]
     )
@@ -912,3 +935,99 @@ class TestPolcomp:
         assert code == EXIT_VALIDATION
         assert "steps: must be >= 0" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+#: stdout and output digests of ``polcomp --drift-rate 0.05 --steps 200``
+#: per (seed, extra options); any change to the tracking loop's arithmetic
+#: or random streams shows up here
+_POLCOMP_GOLDEN = {
+    (601, ()): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.102868\n"
+        "static_probes       166\n"
+        "static_residual     1.570808e-10\n"
+        "tracking_residual   mean 5.219151e-05 max 1.485107e-04\n",
+        "0590dcbce30c8b11f380fab9bc7f8f5c6c80a7c531c4a8681ab2227f7798bdd4",
+        "c74266b2da4f907c73e8158b02e2b966e81bc3d43b42584576755c915c0769fa",
+    ),
+    (601, ("--plates", "2")): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.102868\n"
+        "static_probes       87\n"
+        "static_residual     2.150362e-03\n"
+        "tracking_residual   mean 1.964216e-03 max 2.279152e-03\n",
+        "7a82548f5bd45536e514ce5b9e5f66a5662f883094671641ead37f89c839308f",
+        "d5c5f08da2bb30bdf90b6e4d020f471e4cdf0f04405b6dd7fd862f203ec68b77",
+    ),
+    (601, ("--probe-photons", "2000")): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.102868\n"
+        "static_probes       94\n"
+        "static_residual     2.056387e-03\n"
+        "tracking_residual   mean 1.270195e-01 max 2.475216e-01\n",
+        "27a0bc69c39907899070236ac4de4e8a15157c51f96b93b70137f530e0d1224a",
+        "82d77b6892e471ccfce1959c91e94b2f6b915726790134b1d82aa55dba10ff10",
+    ),
+    (7, ()): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.436888\n"
+        "static_probes       154\n"
+        "static_residual     1.203883e-11\n"
+        "tracking_residual   mean 2.881356e-04 max 7.785858e-04\n",
+        "1e5460d1d949474e9fbf8a39c981aaf6ccc2e6661e8a675b613307318b5242a2",
+        "a387d91bccd94a89b42091a65567d76e8314a12d2d7ca1e7041f74c5cec4bcb9",
+    ),
+    (7, ("--plates", "2")): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.436888\n"
+        "static_probes       99\n"
+        "static_residual     5.992017e-02\n"
+        "tracking_residual   mean 5.923243e-02 max 6.322831e-02\n",
+        "fbccc42f9b4d69ca274141f7ae7e936c014bb47e8b830bade65f9fb1b8a9f6f1",
+        "c18679db9cdbef054ce5f1923c81109b2a505fd944f698d5d4cf16ce0e077aee",
+    ),
+    (7, ("--probe-photons", "2000")): (
+        "qber_floor          3.500463e-03\n"
+        "drift_angle_rad     2.436888\n"
+        "static_probes       94\n"
+        "static_residual     4.215850e-03\n"
+        "tracking_residual   mean 2.175760e-01 max 4.500954e-01\n",
+        "e14ab31df4b2c529c9a5427ed92daf8663b0bb987d1b25b90b350217062bd26b",
+        "5b2e36416588d75d1a05e4fe94f099204c89634a79a358d29b58ae59f666d92b",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, extra",
+    list(_POLCOMP_GOLDEN),
+    ids=[
+        "-".join((str(seed), *extra)).replace("--", "")
+        for seed, extra in _POLCOMP_GOLDEN
+    ],
+)
+def test_polcomp_tracking_is_byte_identical(seed, extra, tmp_path, capsys):
+    out_dir = tmp_path / "pol"
+    code = main(
+        [
+            "polcomp",
+            "--drift-seed",
+            str(seed),
+            "--drift-rate",
+            "0.05",
+            "--steps",
+            "200",
+            *extra,
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == EXIT_OK
+    stdout, json_digest, trace_digest = _POLCOMP_GOLDEN[seed, extra]
+    assert capsys.readouterr().out == stdout
+    for name, digest in (
+        ("compensation.json", json_digest),
+        ("trace.csv", trace_digest),
+    ):
+        data = (out_dir / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sps_bb84 import keyrate
+from sps_bb84 import keyrate, polcomp
 from sps_bb84.keyrate import qber_total
 from sps_bb84.params import OperatingPoint, ParameterError
 from sps_bb84.polcomp import (
@@ -47,6 +50,28 @@ def _random_drift(seed: int, drift_rate: float = 0.0) -> PolarizationDrift:
         rng.random() * math.pi,
         drift_rate=drift_rate,
         seed=seed,
+    )
+
+
+def _fresh_generator_step(
+    state: PolarizationDrift, dt: float
+) -> PolarizationDrift:
+    """One walk step drawn from its own generator at counter block 4k."""
+    angle = state.drift_rate * dt
+    if angle == 0.0:
+        return replace(state, step=state.step + 1)
+    bit_generator = np.random.Philox(key=state.seed)
+    bit_generator.advance(4 * state.step)
+    rng = np.random.Generator(bit_generator)
+    z = 2.0 * rng.random() - 1.0
+    azimuth = 2.0 * math.pi * rng.random()
+    radial = math.sqrt(max(0.0, 1.0 - z * z))
+    axis = (radial * math.cos(azimuth), radial * math.sin(azimuth), z)
+    composed = rotation_from_axis_angle(axis, angle) @ state.rotation
+    return replace(
+        state,
+        rotation=polcomp._reorthonormalize(composed),
+        step=state.step + 1,
     )
 
 
@@ -117,6 +142,25 @@ class TestRotations:
         assert abs(_V.conj() @ swap @ _H) ** 2 == pytest.approx(1.0)
         assert abs(_H.conj() @ swap @ _V) ** 2 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "plate, retardance",
+        [("_quarter_wave", math.pi / 2), ("_half_wave", math.pi)],
+    )
+    def test_cached_plates_are_exact_and_read_only(self, plate, retardance):
+        cached = getattr(polcomp, plate)
+        for angle in (0.0, 0.615, 2.2, math.pi / 180.0):
+            matrix = cached(angle)
+            np.testing.assert_array_equal(
+                matrix, waveplate(angle, retardance)
+            )
+            assert cached(angle) is matrix
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+        stack = CompensatorState(qwp_angle=0.3, hwp_angle=1.1).jones()
+        with pytest.raises(ValueError):
+            stack[1, 1] = 0.0
+
     def test_drift_constructor_validation(self):
         with pytest.raises(ParameterError, match="unitary"):
             PolarizationDrift(rotation=np.array([[1.0, 0.1], [0.0, 1.0]]))
@@ -159,6 +203,37 @@ class TestApplyDrift:
         once = apply_drift(first, 0.1)
         twice = apply_drift(first, 0.1)
         np.testing.assert_array_equal(once.rotation, twice.rotation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        drift_rate=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 3.0]),
+        dt=st.floats(0.0, 2.0),
+        first_step=st.integers(0, 10_000),
+        n_steps=st.integers(1, 30),
+        block=st.integers(1, 8),
+    )
+    def test_batched_walk_matches_single_steps(
+        self, seed, drift_rate, dt, first_step, n_steps, block
+    ):
+        start = replace(
+            _random_drift(seed % 1000, drift_rate=drift_rate),
+            seed=seed,
+            step=first_step,
+        )
+        # a small block size makes the draw cross block boundaries
+        with mock.patch.object(polcomp, "_WALK_BLOCK", block):
+            batched = list(polcomp._drift_walk(start, dt, n_steps))
+        assert len(batched) == n_steps
+        state = fresh = start
+        for walked in batched:
+            state = apply_drift(state, dt)
+            fresh = _fresh_generator_step(fresh, dt)
+            for single in (state, fresh):
+                np.testing.assert_array_equal(
+                    walked.rotation, single.rotation
+                )
+                assert walked.step == single.step
 
     def test_walk_statistics_and_unitarity(self):
         # one long walk; disjoint segments are independent increments,
@@ -472,6 +547,62 @@ class TestTracking:
         )
         assert len(trace) == 50
         assert len(calls) <= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        drift_rate=st.sampled_from([0.0, 1e-2, 0.05, 0.3]),
+        dt=st.floats(0.01, 0.5),
+        half=st.integers(1, 25),
+        plates=st.sampled_from([2, 3]),
+    )
+    def test_chained_runs_equal_one_run(
+        self, seed, drift_rate, dt, half, plates
+    ):
+        drift = _random_drift(seed, drift_rate=drift_rate)
+        state = CompensatorState(plates=plates)
+        whole_drift, whole_state, whole = track_compensation(
+            drift, state, POINT, n_steps=2 * half, dt=dt
+        )
+        mid_drift, mid_state, first = track_compensation(
+            drift, state, POINT, n_steps=half, dt=dt
+        )
+        end_drift, end_state, second = track_compensation(
+            mid_drift, mid_state, POINT, n_steps=half, dt=dt
+        )
+        np.testing.assert_array_equal(whole.time_s[:half], first.time_s)
+        for column in ("drift_angle", "residual_qber", "probes_used"):
+            np.testing.assert_array_equal(
+                getattr(whole, column),
+                np.concatenate(
+                    [getattr(first, column), getattr(second, column)]
+                ),
+            )
+        np.testing.assert_array_equal(
+            whole_drift.rotation, end_drift.rotation
+        )
+        assert whole_drift.step == end_drift.step == 2 * half
+        assert whole_state == end_state
+
+    @pytest.mark.parametrize("drift_rate, expected", [(0.05, 1), (0.0, 0)])
+    def test_one_walk_generator_per_run(
+        self, monkeypatch, drift_rate, expected
+    ):
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(polcomp, "_WALK_BLOCK", 16)
+        _, _, trace = track_compensation(
+            _random_drift(2, drift_rate=drift_rate), CompensatorState(),
+            POINT, n_steps=100, dt=0.05, probe_photons=500,
+        )
+        assert len(trace) == 100
+        assert len(made) == expected
 
     def test_argument_validation(self):
         drift = _random_drift(1)
