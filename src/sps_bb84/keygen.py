@@ -13,10 +13,10 @@ port (H or D) encodes 0 and the second (V or A) encodes 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .finitekey import (
     FiniteBlockInput,
@@ -124,20 +124,40 @@ def sift(
     receiver's measured basis equals the transmitter's preparation basis
     contribute a bit.
     """
+    z_key, x_key, _, _ = _sift(alice, detections)
+    return z_key, x_key
+
+
+def _sift(
+    alice: AliceRecord, detections: TagStream
+) -> tuple[SiftedKey, SiftedKey, np.ndarray, np.ndarray]:
+    """``sift`` plus the transmitter's bits of the Z and X keys.
+
+    Both come from the one ``states_at`` lookup that sifting needs, so
+    the session driver makes no second search of the record.
+    """
     windows = detections.window_index()
     valid = (windows >= 0) & (windows < alice.n_pulses)
     windows = windows[valid]
     channels = detections.channel[valid]
-    kept_windows, first = np.unique(windows, return_index=True)
+    if bool((windows[1:] >= windows[:-1]).all()):
+        # time-sorted tags: each window's first tag starts a run, which
+        # is what np.unique's stable first index finds without sorting
+        first = np.flatnonzero(np.diff(windows, prepend=-1))
+        kept_windows = windows[first]
+    else:
+        kept_windows, first = np.unique(windows, return_index=True)
     kept_channels = channels[first]
 
     bob_basis = kept_channels >> 1
-    alice_basis = alice.bases_at(kept_windows)
-    matched = bob_basis == alice_basis
+    states = alice.states_at(kept_windows)
+    matched = bob_basis == states >> 1
 
     keys = []
+    alice_bits = []
     for code, name in ((0, "Z"), (1, "X")):
-        select = matched & (bob_basis == code)
+        # integer positions: one mask scan, then three cheap gathers
+        select = np.flatnonzero(matched & (bob_basis == code))
         keys.append(
             SiftedKey(
                 basis=name,
@@ -145,7 +165,8 @@ def sift(
                 indices=kept_windows[select],
             )
         )
-    return keys[0], keys[1]
+        alice_bits.append(states[select] & 1)
+    return keys[0], keys[1], alice_bits[0], alice_bits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +242,32 @@ def _initial_block_size(n: int, qber_estimate: float) -> int:
     return min(size, cap)
 
 
-def _block_parity(diff: np.ndarray, order: np.ndarray, lo: int, hi: int) -> int:
-    return int(np.bitwise_xor.reduce(diff[order[lo:hi]])) if hi > lo else 0
+def _search_first_pass(
+    shuffled: np.ndarray, odd_blocks: np.ndarray, size: int
+) -> tuple[np.ndarray, int]:
+    """Binary-search every odd first-pass block at once.
+
+    ``shuffled`` is the error pattern in pass order.  Returns the
+    pass-order offset of the error each search lands on and the number
+    of half-block parities disclosed: one per halving of each block, so
+    a short last block costs fewer.
+    """
+    n = len(shuffled)
+    prefix = np.zeros(n + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(shuffled, out=prefix[1:])
+    lo = odd_blocks * size
+    hi = np.minimum(lo + size, n)
+    disclosed = 0
+    while True:
+        open_blocks = np.count_nonzero(hi - lo > 1)
+        if open_blocks == 0:
+            return lo, disclosed
+        disclosed += open_blocks
+        # a closed block (hi == lo + 1) has mid == lo and stays put
+        mid = (lo + hi) >> 1
+        left_odd = prefix[mid] != prefix[lo]
+        hi = np.where(left_odd, mid, hi)
+        lo = np.where(left_odd, lo, mid)
 
 
 def reconcile(
@@ -249,8 +294,16 @@ def reconcile(
     after the first pass whose top-level parities all agree — error
     pairs inside one block can survive that stop, which is why sessions
     follow up with ``verify`` — and raises ``ReconciliationError`` when
-    mismatches persist past ``max_passes``, the signature of an
-    underestimated error rate.
+    mismatches persist past ``max_passes`` (which must be at least 1),
+    the signature of an underestimated error rate.
+
+    Nothing can reopen a first-pass block, since no earlier pass exists,
+    so all odd first-pass blocks are searched together over one
+    prefix-XOR of the error pattern.  Later passes keep the queue: the
+    most recently opened block is searched first, and each correction
+    reopens the blocks of other passes whose stored parity it makes odd.
+    The result, the leak and the draws from ``rng`` are those of
+    searching every block one at a time in that order.
     """
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
@@ -264,6 +317,7 @@ def reconcile(
         "qber_estimate",
         "must lie in [0, 0.5]",
     )
+    _require(max_passes >= 1, "max_passes", "must be >= 1")
     n = len(alice_bits)
     if n == 0:
         return bob_bits.copy(), 0
@@ -283,17 +337,22 @@ def reconcile(
         """Binary-search one odd block; returns the corrected position."""
         nonlocal leaked
         order = orders[pass_index]
-        size = sizes[pass_index]
-        lo = block * size
-        hi = min(lo + size, n)
+        start = block * sizes[pass_index]
+        segment = order[start : start + sizes[pass_index]]
+        # offsets of the block's errors; [first, last) of them lie in
+        # [lo, hi), and a half's parity is the count of its errors
+        errors = diff[segment].nonzero()[0].tolist()
+        first, last = 0, len(errors)
+        lo, hi = 0, len(segment)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             leaked += 1  # transmitter discloses the left half's parity
-            if _block_parity(diff, order, lo, mid) == 1:
-                hi = mid
+            split = bisect_left(errors, mid, first, last)
+            if (split - first) & 1:
+                hi, last = mid, split
             else:
-                lo = mid
-        return int(order[lo])
+                lo, first = mid, split
+        return int(segment[lo])
 
     def correct(position: int, source_pass: int) -> list[tuple[int, int]]:
         diff[position] ^= 1
@@ -315,8 +374,9 @@ def reconcile(
             order = rng.permutation(n).astype(np.int64)
         inverse = np.empty(n, dtype=np.int64)
         inverse[order] = np.arange(n, dtype=np.int64)
+        shuffled = diff[order]
         boundaries = np.arange(0, n, block_size)
-        block_parities = np.bitwise_xor.reduceat(diff[order], boundaries)
+        block_parities = np.bitwise_xor.reduceat(shuffled, boundaries)
         leaked += len(boundaries)
 
         orders.append(order)
@@ -324,10 +384,21 @@ def reconcile(
         inverses.append(inverse)
         parities.append(block_parities.astype(np.uint8))
 
-        queue = [
-            (pass_index, int(b)) for b in np.nonzero(block_parities)[0]
-        ]
-        clean_pass = not queue
+        odd_blocks = np.flatnonzero(block_parities)
+        clean_pass = len(odd_blocks) == 0
+        if pass_index == 0:
+            found, disclosed = _search_first_pass(
+                shuffled, odd_blocks, block_size
+            )
+            leaked += disclosed
+            total_corrections += len(odd_blocks)
+            positions = order[found]
+            diff[positions] ^= 1
+            corrected[positions] ^= 1
+            parities[0][odd_blocks] = 0
+            queue = []
+        else:
+            queue = [(pass_index, block) for block in odd_blocks.tolist()]
         while queue:
             q, block = queue.pop()
             if parities[q][block] == 0:
@@ -354,8 +425,42 @@ def reconcile(
 # universal hashing (verification and privacy amplification)
 # ---------------------------------------------------------------------------
 
-#: tags at most this long are computed row by row; longer outputs use FFT
+#: tags at most this long are computed directly; longer outputs use FFT
 _ROW_PATH_MAX_TAG = 64
+
+#: the FFT path convolves at most this many key bits at a time
+_FFT_SEGMENT_BITS = 1 << 20
+
+
+def _fft_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= ``target``, a length the FFT handles fast."""
+    best = 1 << (target - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            # the smallest power of two p with odd * p >= target
+            quotient = -(-target // odd)
+            best = min(best, odd << (quotient - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
+def _fft_window(
+    bits: np.ndarray, stream: np.ndarray, out_len: int
+) -> np.ndarray:
+    """FFT route of ``_toeplitz_hash`` for ``len(stream) == n + out_len - 1``.
+
+    Entry j of the linear convolution of stream and bits, for j in
+    [n - 1, n - 1 + out_len), picks up no wrapped term in a circular
+    convolution of length >= len(stream), so that length suffices.
+    """
+    n = len(bits)
+    size = _fft_length(len(stream))
+    spectrum = np.fft.rfft(stream, size) * np.fft.rfft(bits, size)
+    counts = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + out_len]
+    return (np.rint(counts).astype(np.int64) & 1).astype(np.uint8)
 
 
 def _toeplitz_hash(
@@ -363,12 +468,23 @@ def _toeplitz_hash(
 ) -> np.ndarray:
     """Multiply a Toeplitz bit matrix (rows built from ``stream``) by bits.
 
-    Row j of the matrix is ``stream[j + n - 1 - i]`` over columns i, so
-    row j is a reversed window of the stream and the whole product is a
-    slice of the linear convolution of the stream with the input.  Short
-    tags (verification) take the per-row parity directly; long outputs
-    (privacy amplification) go through FFT convolution, whose counts stay
-    far below 2**53 and therefore round exactly.
+    ``bits`` and ``stream`` are uint8 arrays of 0/1, and ``stream`` holds
+    exactly n + out_len - 1 entries.  Row j of the matrix is
+    ``stream[j + n - 1 - i]`` over columns i, so row j is a reversed
+    window of the stream and the whole product is a slice of the linear
+    convolution of the stream with the input.
+
+    Short tags (verification) are the ``valid`` part of numpy's direct
+    convolution in uint8, whose sums wrap modulo a power of two and so
+    keep their parity.  Long outputs (privacy amplification) convolve key
+    segments of at most 2^20 bits by FFT, each against its own stream
+    window, and XOR the results.  A segment's counts are integers of at
+    most 2^20, and the FFT's rounding error is far below the 0.5 that
+    ``rint`` absorbs: for a transform of length N the error is at most
+    about 13 log2(N) 2^-53 |a| |b| (Percival, Math. Comp. 72, 387
+    (2003)), with |a| <= 2^10 for a segment and |b| <= sqrt(N) for the
+    stream window, which stays below 10^-4 for every N < 2^40.  Both
+    paths are exact.
     """
     n = len(bits)
     if out_len == 0:
@@ -376,18 +492,15 @@ def _toeplitz_hash(
     if n == 0:
         return np.zeros(out_len, dtype=np.uint8)
     if out_len <= _ROW_PATH_MAX_TAG:
-        signal = bits[::-1]
-        return np.array(
-            [
-                np.count_nonzero(stream[j : j + n] & signal) & 1
-                for j in range(out_len)
-            ],
-            dtype=np.uint8,
-        )
-    full = np.rint(
-        fftconvolve(stream.astype(np.float64), bits.astype(np.float64))
-    ).astype(np.int64)
-    return (full[n - 1 : n - 1 + out_len] & 1).astype(np.uint8)
+        return np.convolve(stream, bits, mode="valid") & 1
+    result = np.zeros(out_len, dtype=np.uint8)
+    for start in range(0, n, _FFT_SEGMENT_BITS):
+        segment = bits[start : start + _FFT_SEGMENT_BITS]
+        # columns [start, start + len(segment)) read the stream from here on
+        offset = n - start - len(segment)
+        window = stream[offset : offset + len(segment) + out_len - 1]
+        result ^= _fft_window(segment, window, out_len)
+    return result
 
 
 def verification_tag_length(eps_cor: float) -> int:
@@ -405,7 +518,9 @@ def verify(
     """Compare Toeplitz hash tags of the two keys under a fresh seed.
 
     Equal keys always pass; unequal keys pass with probability at most
-    2**-tag_length <= eps_cor, the two-universal collision bound.
+    2**-tag_length <= eps_cor, the two-universal collision bound.  The
+    hash is linear, so the tags agree exactly when the tag of the keys'
+    XOR is zero, and that is what is computed.
     """
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
@@ -421,9 +536,10 @@ def verify(
         rng = np.random.default_rng()
     tag_len = verification_tag_length(eps_cor)
     stream = rng.integers(0, 2, size=tag_len + n - 1, dtype=np.uint8)
-    tag_a = _toeplitz_hash(alice_bits, stream, tag_len)
-    tag_b = _toeplitz_hash(bob_bits, stream, tag_len)
-    return bool(np.array_equal(tag_a, tag_b))
+    difference = alice_bits ^ bob_bits
+    if not difference.any():
+        return True
+    return not _toeplitz_hash(difference, stream, tag_len).any()
 
 
 def privacy_amplify(
@@ -608,7 +724,7 @@ def run_session(
     complete ledger rather than raising.
     """
     alice, stream = simulate_run(scenario)
-    z_key, x_key = sift(alice, stream)
+    z_key, x_key, alice_z, alice_x = _sift(alice, stream)
     raw_z, raw_x = len(z_key), len(x_key)
     point = scenario.operating_point
     budget = point.budget
@@ -622,7 +738,6 @@ def run_session(
             "increase the pulse budget",
         )
 
-    alice_x = alice.bits_at(x_key.indices)
     estimate = estimate_error_rate(
         alice_x,
         x_key.bits,
@@ -631,7 +746,6 @@ def run_session(
     )
     transcript.append(("estimation", 2 * estimate.n_disclosed))
 
-    alice_z = alice.bits_at(z_key.indices)
     verification_bits = verification_tag_length(budget.eps_cor)
     reconcile_rng = _philox(scenario.seed, _SESSION_SPAWN, 1)
     verify_rng = _philox(scenario.seed, _SESSION_SPAWN, 2)
@@ -689,7 +803,10 @@ def run_session(
     pa_rng = _philox(scenario.seed, _SESSION_SPAWN, 3)
     pa_seed = int(pa_rng.integers(0, 2**63))
     bob_final = privacy_amplify(corrected, final_length, pa_seed)
-    alice_final = privacy_amplify(alice_z, final_length, pa_seed)
+    if np.array_equal(corrected, alice_z):
+        alice_final = bob_final.copy()  # a pure function of (key, seed)
+    else:
+        alice_final = privacy_amplify(alice_z, final_length, pa_seed)
     transcript.append(("amplification", 0))
 
     ledger = KeySessionLedger(

@@ -1031,3 +1031,106 @@ def test_polcomp_tracking_is_byte_identical(seed, extra, tmp_path, capsys):
     ):
         data = (out_dir / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+#: stdout, exit code and output digests of ``session`` per (channel loss
+#: dB, misalignment probability or None for the table value, pulses,
+#: seed); the 3 dB run needs two reconcile/verify rounds and the
+#: 25.49 dB run ends with an empty key
+_SESSION_GOLDEN = {
+    (0.0, 0.02, 2_000_000, 1): (
+        EXIT_OK,
+        "n_sent               2000000\n"
+        "raw_z                21808\n"
+        "raw_x                21698\n"
+        "observed_error_x     0.023963\n"
+        "corrected_errors     435\n"
+        "reconciliation_leak  3467\n"
+        "verify_rounds        1\n"
+        "final_key_bits       8871\n"
+        "skb_per_pulse        4.435500e-03\n"
+        "skr_bits_per_s       1.011294e+06\n",
+        "98cefd88dec97737a1ad9c2f6d751a0c44b3abe731ad56c55e37e1190890a6f6",
+        "bc3ca1060b60789d88866b48a6158a9a6353f9e055ea62e40dbcf60bd3b372f1",
+    ),
+    (3.0, None, 2_000_000, 1): (
+        EXIT_OK,
+        "n_sent               2000000\n"
+        "raw_z                11346\n"
+        "raw_x                11126\n"
+        "observed_error_x     0.000000\n"
+        "corrected_errors     11\n"
+        "reconciliation_leak  223\n"
+        "verify_rounds        2\n"
+        "final_key_bits       5811\n"
+        "skb_per_pulse        2.905500e-03\n"
+        "skr_bits_per_s       6.624540e+05\n",
+        "d154b7f2b45f009d25cc260899fda03e7aa2d0007792acf9a5cacd485fa3e9b6",
+        "21079bc8019cb247b156114934230e125a890964f75c0cb033b8483d04aff891",
+    ),
+    (10.0, None, 4_000_000, 1): (
+        EXIT_OK,
+        "n_sent               4000000\n"
+        "raw_z                4594\n"
+        "raw_x                4735\n"
+        "observed_error_x     0.000000\n"
+        "corrected_errors     3\n"
+        "reconciliation_leak  40\n"
+        "verify_rounds        1\n"
+        "final_key_bits       1444\n"
+        "skb_per_pulse        3.610000e-04\n"
+        "skr_bits_per_s       8.230800e+04\n",
+        "072db4c3cb6f243fa770c9f93f2c85df367b3238491da3234cb004d03fd89753",
+        "7ec2444e1726f6e99b0c3f6e3030a07d5356a46d0cd5307289814a2f680542ae",
+    ),
+    (25.49, None, 4_000_000, 1): (
+        EXIT_ZERO_KEY,
+        "n_sent               4000000\n"
+        "raw_z                109\n"
+        "raw_x                146\n"
+        "observed_error_x     0.000000\n"
+        "corrected_errors     0\n"
+        "reconciliation_leak  4\n"
+        "verify_rounds        1\n"
+        "final_key_bits       0\n"
+        "skb_per_pulse        0.000000e+00\n"
+        "skr_bits_per_s       0.000000e+00\n",
+        "20bf7cf2a894a92a881a83a2a2c105f43e6a5e02f88a151bc450f868a70eb8ad",
+        hashlib.sha256(b"").hexdigest(),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config", list(_SESSION_GOLDEN), ids=lambda c: f"{c[0]}dB-seed{c[3]}"
+)
+def test_session_outputs_are_byte_identical(config, tmp_path, capsys):
+    loss, misalignment, pulses, seed = config
+    overrides = {"link.channel_loss_db": loss}
+    if misalignment is not None:
+        overrides["link.misalignment_prob"] = misalignment
+    scenario = _write_scenario(tmp_path / "golden.json", overrides)
+    out_dir = tmp_path / "ses"
+    code = main(
+        [
+            "session",
+            "--scenario",
+            str(scenario),
+            "--pulses",
+            str(pulses),
+            "--seed",
+            str(seed),
+            "--out",
+            str(out_dir),
+        ]
+    )
+    exit_code, stdout, ledger_digest, key_digest = _SESSION_GOLDEN[config]
+    assert code == exit_code
+    assert capsys.readouterr().out == stdout
+    for name, digest in (
+        ("ledger.json", ledger_digest),
+        ("key_alice.bin", key_digest),
+        ("key_bob.bin", key_digest),
+    ):
+        data = (out_dir / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sps_bb84
@@ -61,3 +64,26 @@ def test_every_imported_name_is_used_or_exported():
             for name in sorted(_imported_names(tree) - kept)
         ]
     assert unused == []
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs most of the command-line start-up; only functions that
+    # need its special functions may import it, inside their bodies
+    package_root = Path(sps_bb84.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, sps_bb84.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -13,9 +13,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sps_bb84 import keygen
 from sps_bb84.finitekey import FiniteBlockInput, finite_skb_per_pulse
 from sps_bb84.keygen import (
+    _ROW_PATH_MAX_TAG,
     EstimateResult,
     KeySessionLedger,
     ReconciliationError,
@@ -38,7 +42,12 @@ from sps_bb84.montecarlo import (
     simulate_run,
     stream_statistics,
 )
-from sps_bb84.params import OperatingPoint, ParameterError, binary_entropy
+from sps_bb84.params import (
+    OperatingPoint,
+    ParameterError,
+    _require,
+    binary_entropy,
+)
 from sps_bb84.tagproc import InsufficientStatisticsError
 
 
@@ -111,6 +120,26 @@ class TestSiftedKey:
 # sifting
 # ---------------------------------------------------------------------------
 
+def _reference_sift(alice, detections):
+    """Oracle: ``sift`` with np.unique picking each window's first tag."""
+    windows = detections.window_index()
+    valid = (windows >= 0) & (windows < alice.n_pulses)
+    windows = windows[valid]
+    channels = detections.channel[valid]
+    kept_windows, first = np.unique(windows, return_index=True)
+    kept_channels = channels[first]
+    bob_basis = kept_channels >> 1
+    matched = bob_basis == alice.bases_at(kept_windows)
+    keys = []
+    for code in (0, 1):
+        select = matched & (bob_basis == code)
+        keys.append(
+            ((kept_channels[select] & 1).astype(np.uint8),
+             kept_windows[select])
+        )
+    return keys
+
+
 class TestSift:
     def test_all_matched_construction_keeps_everything(self):
         # every window holds one tag whose channel equals the prepared
@@ -154,6 +183,44 @@ class TestSift:
         np.testing.assert_array_equal(z_key.indices, [0])
         np.testing.assert_array_equal(z_key.bits, [0])
         assert len(x_key) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_pulses=st.integers(1, 60),
+        n_tags=st.integers(0, 120),
+        time_sorted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_on_sorted_and_unsorted_tags(
+        self, n_pulses, n_tags, time_sorted, seed
+    ):
+        # time-sorted streams take the run-start path, others np.unique;
+        # both keep the first listed tag of each window, and the
+        # transmitter bits returned alongside are those of the key windows
+        rng = np.random.default_rng(seed)
+        alice = AliceRecord(
+            n_pulses=n_pulses,
+            indices=np.arange(n_pulses),
+            states=rng.integers(0, 4, n_pulses, dtype=np.uint8),
+        )
+        times = rng.integers(-1500, 1000 * n_pulses + 1500, n_tags)
+        if time_sorted:
+            times = np.sort(times)
+        stream = _handmade_stream(
+            times,
+            rng.integers(0, 4, n_tags),
+            np.zeros(n_tags),
+            np.zeros(n_tags, bool),
+            n_pulses=n_pulses,
+        )
+        z_key, x_key, alice_z, alice_x = keygen._sift(alice, stream)
+        for key, (bits, indices) in zip(
+            (z_key, x_key), _reference_sift(alice, stream)
+        ):
+            np.testing.assert_array_equal(key.bits, bits)
+            np.testing.assert_array_equal(key.indices, indices)
+        np.testing.assert_array_equal(alice_z, alice.bits_at(z_key.indices))
+        np.testing.assert_array_equal(alice_x, alice.bits_at(x_key.indices))
 
     def test_kept_fraction_matches_unbiased_basis_choice(self):
         # with both sides choosing bases 50/50, half the clicked windows
@@ -280,6 +347,148 @@ class TestEstimateErrorRate:
 # reconciliation
 # ---------------------------------------------------------------------------
 
+# The straightforward per-level implementation of ``reconcile``, kept
+# verbatim (with its two helpers) as the oracle for the batched one: every
+# binary-search level is its own numpy reduction and the first pass runs
+# through the same queue as the later ones.
+
+def _initial_block_size(n: int, qber_estimate: float) -> int:
+    """Power-of-two block near 0.73/q, clamped to [2, n/2]."""
+    cap = 2 ** max(1, int(math.floor(math.log2(max(n, 4) / 2))))
+    target = 0.73 / max(qber_estimate, 1.0 / n)
+    size = 2 ** max(1, math.ceil(math.log2(min(target, cap))))
+    return min(size, cap)
+
+
+def _block_parity(diff: np.ndarray, order: np.ndarray, lo: int, hi: int) -> int:
+    return int(np.bitwise_xor.reduce(diff[order[lo:hi]])) if hi > lo else 0
+
+
+def _reference_reconcile(
+    alice_bits: np.ndarray,
+    bob_bits: np.ndarray,
+    qber_estimate: float,
+    rng: np.random.Generator | None = None,
+    max_passes: int = 25,
+    shuffle_first_pass: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Correct ``bob_bits`` toward ``alice_bits`` by parity exchange.
+
+    Multi-pass blocked parity comparison with binary search inside
+    mismatching blocks; every corrected bit re-opens the blocks covering
+    it in earlier passes (whose stored parities flip), so error pairs
+    masked in one pass are unwound by later ones.  Block sizes start near
+    0.73 / qber_estimate and double each pass under a fresh shuffle; by
+    default the first pass is unshuffled, so a single error is located
+    directly (retries set ``shuffle_first_pass`` so a repeat run draws
+    fresh blocks).
+
+    Returns the corrected key and the number of parity bits disclosed
+    (block parities plus one bit per binary-search level).  Terminates
+    after the first pass whose top-level parities all agree — error
+    pairs inside one block can survive that stop, which is why sessions
+    follow up with ``verify`` — and raises ``ReconciliationError`` when
+    mismatches persist past ``max_passes``, the signature of an
+    underestimated error rate.
+    """
+    alice_bits = np.asarray(alice_bits, dtype=np.uint8)
+    bob_bits = np.asarray(bob_bits, dtype=np.uint8)
+    _require(
+        len(alice_bits) == len(bob_bits),
+        "bob_bits",
+        "keys must have equal length",
+    )
+    _require(
+        0.0 <= qber_estimate <= 0.5,
+        "qber_estimate",
+        "must lie in [0, 0.5]",
+    )
+    n = len(alice_bits)
+    if n == 0:
+        return bob_bits.copy(), 0
+    if rng is None:
+        rng = np.random.default_rng()
+
+    diff = np.bitwise_xor(alice_bits, bob_bits)
+    corrected = bob_bits.copy()
+    leaked = 0
+    # per pass: bit order, block size, inverse order, stored parities
+    orders: list[np.ndarray] = []
+    sizes: list[int] = []
+    inverses: list[np.ndarray] = []
+    parities: list[np.ndarray] = []
+
+    def search_block(pass_index: int, block: int) -> int:
+        """Binary-search one odd block; returns the corrected position."""
+        nonlocal leaked
+        order = orders[pass_index]
+        size = sizes[pass_index]
+        lo = block * size
+        hi = min(lo + size, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            leaked += 1  # transmitter discloses the left half's parity
+            if _block_parity(diff, order, lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        return int(order[lo])
+
+    def correct(position: int, source_pass: int) -> list[tuple[int, int]]:
+        diff[position] ^= 1
+        corrected[position] ^= 1
+        reopened = []
+        for q in range(len(orders)):
+            block = int(inverses[q][position]) // sizes[q]
+            parities[q][block] ^= 1  # both sides update known parities
+            if q != source_pass and parities[q][block] == 1:
+                reopened.append((q, block))
+        return reopened
+
+    total_corrections = 0
+    block_size = _initial_block_size(n, qber_estimate)
+    for pass_index in range(max_passes):
+        if pass_index == 0 and not shuffle_first_pass:
+            order = np.arange(n, dtype=np.int64)
+        else:
+            order = rng.permutation(n).astype(np.int64)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.arange(n, dtype=np.int64)
+        boundaries = np.arange(0, n, block_size)
+        block_parities = np.bitwise_xor.reduceat(diff[order], boundaries)
+        leaked += len(boundaries)
+
+        orders.append(order)
+        sizes.append(block_size)
+        inverses.append(inverse)
+        parities.append(block_parities.astype(np.uint8))
+
+        queue = [
+            (pass_index, int(b)) for b in np.nonzero(block_parities)[0]
+        ]
+        clean_pass = not queue
+        while queue:
+            q, block = queue.pop()
+            if parities[q][block] == 0:
+                continue  # already evened out by an earlier correction
+            position = search_block(q, block)
+            total_corrections += 1
+            queue.extend(correct(position, q))
+            # the searched block's parity flip is folded in by correct()
+
+        if clean_pass:
+            return corrected, leaked
+        block_size = min(
+            2 * block_size,
+            2 ** max(1, int(math.floor(math.log2(max(n, 4) / 2)))),
+        )
+    raise ReconciliationError(
+        f"parity reconciliation still finding errors after {max_passes} "
+        f"passes ({total_corrections} corrected); the error-rate estimate "
+        "was likely far too low"
+    )
+
+
 class TestReconcile:
     def test_error_free_keys_cost_one_parity_per_block(self):
         alice = _random_bits(5, 10_000)
@@ -363,6 +572,65 @@ class TestReconcile:
         with pytest.raises(ParameterError, match="qber_estimate"):
             reconcile(bits, bits, 0.6)
 
+    @pytest.mark.parametrize("max_passes", [0, -3])
+    def test_non_positive_pass_cap_is_parameter_error(self, max_passes):
+        bits = _random_bits(3, 64)
+        with pytest.raises(ParameterError, match="max_passes"):
+            reconcile(bits, bits.copy(), 0.01, max_passes=max_passes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 5000),
+        error_rate=st.floats(0.0, 0.2),
+        qber_estimate=st.one_of(
+            st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)
+        ),
+        shuffle_first_pass=st.booleans(),
+        max_passes=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, error_rate=0.2, qber_estimate=0.0,
+             shuffle_first_pass=False, max_passes=1, seed=0)
+    @example(n=2, error_rate=0.2, qber_estimate=0.5,
+             shuffle_first_pass=True, max_passes=3, seed=1)
+    @example(n=1000, error_rate=0.05, qber_estimate=0.05,
+             shuffle_first_pass=False, max_passes=25, seed=2)
+    @example(n=5000, error_rate=0.2, qber_estimate=0.2,
+             shuffle_first_pass=True, max_passes=25, seed=3)
+    @example(n=4999, error_rate=0.02, qber_estimate=0.001,
+             shuffle_first_pass=True, max_passes=25, seed=4)
+    def test_matches_reference_reconcile(
+        self, n, error_rate, qber_estimate, shuffle_first_pass,
+        max_passes, seed,
+    ):
+        # equal corrected key, equal leak and equal generator state
+        # afterwards (sessions reuse one generator across rounds), or
+        # ReconciliationError from both
+        data = np.random.default_rng(seed)
+        alice = data.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (data.random(n) < error_rate).astype(np.uint8)
+        options = dict(
+            max_passes=max_passes, shuffle_first_pass=shuffle_first_pass
+        )
+        expected_rng = np.random.default_rng(seed + 1)
+        actual_rng = np.random.default_rng(seed + 1)
+        try:
+            expected = _reference_reconcile(
+                alice, bob, qber_estimate, rng=expected_rng, **options
+            )
+        except ReconciliationError:
+            with pytest.raises(ReconciliationError):
+                reconcile(alice, bob, qber_estimate, rng=actual_rng, **options)
+        else:
+            corrected, leaked = reconcile(
+                alice, bob, qber_estimate, rng=actual_rng, **options
+            )
+            np.testing.assert_array_equal(corrected, expected[0])
+            assert leaked == expected[1]
+        assert (
+            actual_rng.bit_generator.state == expected_rng.bit_generator.state
+        )
+
 
 # ---------------------------------------------------------------------------
 # verification hashing
@@ -439,6 +707,18 @@ def _dense_toeplitz_hash(bits: np.ndarray, out_len: int, seed: int):
     return ((matrix @ bits.astype(np.int64)) % 2).astype(np.uint8)
 
 
+#: every 2^a 3^b 5^c up to 4000; FFT lengths are drawn from these
+_SMOOTH_NUMBERS = sorted(
+    2**a * 3**b * 5**c
+    for a in range(12)
+    for b in range(8)
+    for c in range(6)
+    if 2**a * 3**b * 5**c <= 4000
+)
+#: the ones between 100 and 3000, where the hash tests' lengths switch
+_SMOOTH_LENGTHS = [size for size in _SMOOTH_NUMBERS if 100 <= size <= 3000]
+
+
 class TestPrivacyAmplify:
     def test_argument_validation(self):
         bits = _random_bits(30, 100)
@@ -477,6 +757,52 @@ class TestPrivacyAmplify:
             privacy_amplify(bits, out_len, seed),
             _dense_toeplitz_hash(bits, out_len, seed),
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle_across_routes(self, data):
+        # short tags take the row path, longer ones the FFT path; the FFT
+        # length is the smallest 2^a 3^b 5^c at least n + out_len - 1, so
+        # lengths landing on such a number and one past it are both drawn
+        out_len = data.draw(
+            st.one_of(
+                st.integers(1, 2 * _ROW_PATH_MAX_TAG),
+                st.integers(1, 600),
+            )
+        )
+        exact = data.draw(st.sampled_from(_SMOOTH_LENGTHS))
+        n = data.draw(
+            st.one_of(
+                st.integers(out_len, 3000),
+                st.sampled_from([exact - out_len + 1, exact - out_len + 2]),
+            ).filter(lambda n: out_len <= n <= 3000)
+        )
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        bits = np.random.default_rng(seed % 2**32).integers(
+            0, 2, n, dtype=np.uint8
+        )
+        np.testing.assert_array_equal(
+            privacy_amplify(bits, out_len, seed),
+            _dense_toeplitz_hash(bits, out_len, seed),
+        )
+
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        for target in range(1, 3001):
+            expected = next(size for size in _SMOOTH_NUMBERS if size >= target)
+            assert keygen._fft_length(target) == expected, target
+
+    def test_key_longer_than_one_fft_segment(self):
+        # the FFT path convolves at most 2^20 key bits at a time; spot
+        # check rows of a two-segment key against their direct parities
+        n, out_len, seed = 2**20 + 37, 300, 55
+        bits = _random_bits(56, n)
+        stream = np.random.Generator(np.random.Philox(key=seed)).integers(
+            0, 2, n + out_len - 1, dtype=np.uint8
+        )
+        out = privacy_amplify(bits, out_len, seed)
+        signal = bits[::-1].astype(np.int64)
+        for j in (0, 1, 150, out_len - 1):
+            assert out[j] == int(stream[j : j + n] @ signal) & 1
 
     def test_hash_is_linear_in_the_key(self):
         for out_len in (64, 100):  # both evaluation routes
@@ -687,6 +1013,44 @@ class TestRunSession:
         # the failed round's tag is part of the measured leak
         assert ledger.reconciliation_leak >= ledger.verification_bits
         np.testing.assert_array_equal(result.alice_key, result.bob_key)
+
+    def test_unequal_keys_are_amplified_separately(self, monkeypatch):
+        # a verification that passes on unequal keys (a hash collision)
+        # must still hash each side's own key
+        scenario = Scenario(
+            operating_point=OperatingPoint().with_loss(10.0),
+            n_pulses=2_000_000,
+            seed=900,
+        )
+        genuine = keygen.reconcile
+        bob_inputs = []
+
+        def reconcile_leaving_one_error(*args, **kwargs):
+            corrected, leaked = genuine(*args, **kwargs)
+            corrected = corrected.copy()
+            corrected[0] ^= 1
+            bob_inputs.append(corrected)
+            return corrected, leaked
+
+        monkeypatch.setattr(keygen, "reconcile", reconcile_leaving_one_error)
+        monkeypatch.setattr(keygen, "verify", lambda *a, **k: True)
+        result = run_session(scenario)
+        ledger = result.ledger
+        assert ledger.final_length > 0
+        alice, stream = simulate_run(scenario)
+        z_key, _ = sift(alice, stream)
+        alice_z = alice.bits_at(z_key.indices)
+        (bob_z,) = bob_inputs
+        assert not np.array_equal(bob_z, alice_z)
+        np.testing.assert_array_equal(
+            result.alice_key,
+            privacy_amplify(alice_z, ledger.final_length, ledger.pa_seed),
+        )
+        np.testing.assert_array_equal(
+            result.bob_key,
+            privacy_amplify(bob_z, ledger.final_length, ledger.pa_seed),
+        )
+        assert not np.array_equal(result.alice_key, result.bob_key)
 
     def test_beyond_loss_tolerance_yields_empty_key(self):
         result = run_session(
