@@ -122,41 +122,28 @@ def sift(
     Only the earliest tag of each pulse window is kept (later tags are
     dead-time survivors or tail spill), and only windows where the
     receiver's measured basis equals the transmitter's preparation basis
-    contribute a bit.
-    """
-    z_key, x_key, _, _ = _sift(alice, detections)
-    return z_key, x_key
-
-
-def _sift(
-    alice: AliceRecord, detections: TagStream
-) -> tuple[SiftedKey, SiftedKey, np.ndarray, np.ndarray]:
-    """``sift`` plus the transmitter's bits of the Z and X keys.
-
-    Both come from the one ``states_at`` lookup that sifting needs, so
-    the session driver makes no second search of the record.
+    contribute a bit.  The tags must be time-sorted, as ``TagStream``
+    holds them.
     """
     windows = detections.window_index()
     valid = (windows >= 0) & (windows < alice.n_pulses)
     windows = windows[valid]
     channels = detections.channel[valid]
-    if bool((windows[1:] >= windows[:-1]).all()):
-        # time-sorted tags: each window's first tag starts a run, which
-        # is what np.unique's stable first index finds without sorting
-        first = np.flatnonzero(np.diff(windows, prepend=-1))
-        kept_windows = windows[first]
-    else:
-        kept_windows, first = np.unique(windows, return_index=True)
+    # each window's first tag starts a run of equal window indices
+    step = np.diff(windows, prepend=-1)
+    _require(
+        bool((step >= 0).all()), "detections", "tags must be time-sorted"
+    )
+    first = np.flatnonzero(step)
+    kept_windows = windows[first]
     kept_channels = channels[first]
 
     bob_basis = kept_channels >> 1
-    states = alice.states_at(kept_windows)
-    matched = bob_basis == states >> 1
+    matched = bob_basis == alice.bases_at(kept_windows)
 
     keys = []
-    alice_bits = []
     for code, name in ((0, "Z"), (1, "X")):
-        # integer positions: one mask scan, then three cheap gathers
+        # integer positions: one mask scan, then cheap gathers
         select = np.flatnonzero(matched & (bob_basis == code))
         keys.append(
             SiftedKey(
@@ -165,8 +152,7 @@ def _sift(
                 indices=kept_windows[select],
             )
         )
-        alice_bits.append(states[select] & 1)
-    return keys[0], keys[1], alice_bits[0], alice_bits[1]
+    return keys[0], keys[1]
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +523,7 @@ def verify(
     tag_len = verification_tag_length(eps_cor)
     stream = rng.integers(0, 2, size=tag_len + n - 1, dtype=np.uint8)
     difference = alice_bits ^ bob_bits
+    # the tag of a zero difference is zero; skip hashing it
     if not difference.any():
         return True
     return not _toeplitz_hash(difference, stream, tag_len).any()
@@ -724,7 +711,7 @@ def run_session(
     complete ledger rather than raising.
     """
     alice, stream = simulate_run(scenario)
-    z_key, x_key, alice_z, alice_x = _sift(alice, stream)
+    z_key, x_key = sift(alice, stream)
     raw_z, raw_x = len(z_key), len(x_key)
     point = scenario.operating_point
     budget = point.budget
@@ -737,6 +724,11 @@ def run_session(
             f"no sifted bits in one basis (Z={raw_z}, X={raw_x}); "
             "increase the pulse budget",
         )
+    # the transmitter's bits of both keys in one lookup of the record
+    alice_bits = alice.bits_at(
+        np.concatenate([z_key.indices, x_key.indices])
+    )
+    alice_z, alice_x = alice_bits[:raw_z], alice_bits[raw_z:]
 
     estimate = estimate_error_rate(
         alice_x,

@@ -191,12 +191,12 @@ class TestSift:
         time_sorted=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference_on_sorted_and_unsorted_tags(
+    def test_matches_reference_on_sorted_tags_and_rejects_unsorted(
         self, n_pulses, n_tags, time_sorted, seed
     ):
-        # time-sorted streams take the run-start path, others np.unique;
-        # both keep the first listed tag of each window, and the
-        # transmitter bits returned alongside are those of the key windows
+        # time-sorted streams keep the first tag of each window, as the
+        # np.unique oracle does; a stream whose in-range windows step
+        # backwards breaks the TagStream contract and is refused
         rng = np.random.default_rng(seed)
         alice = AliceRecord(
             n_pulses=n_pulses,
@@ -213,14 +213,18 @@ class TestSift:
             np.zeros(n_tags, bool),
             n_pulses=n_pulses,
         )
-        z_key, x_key, alice_z, alice_x = keygen._sift(alice, stream)
+        windows = stream.window_index()
+        windows = windows[(windows >= 0) & (windows < n_pulses)]
+        if (np.diff(windows) < 0).any():
+            with pytest.raises(ParameterError, match="time-sorted"):
+                sift(alice, stream)
+            return
+        z_key, x_key = sift(alice, stream)
         for key, (bits, indices) in zip(
             (z_key, x_key), _reference_sift(alice, stream)
         ):
             np.testing.assert_array_equal(key.bits, bits)
             np.testing.assert_array_equal(key.indices, indices)
-        np.testing.assert_array_equal(alice_z, alice.bits_at(z_key.indices))
-        np.testing.assert_array_equal(alice_x, alice.bits_at(x_key.indices))
 
     def test_kept_fraction_matches_unbiased_basis_choice(self):
         # with both sides choosing bases 50/50, half the clicked windows
