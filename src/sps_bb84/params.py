@@ -52,6 +52,19 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ParameterError(field_name, message)
 
 
+def _replace_checked(instance, **changes):
+    """``dataclasses.replace`` for values the caller has already checked.
+
+    The other fields are copied as they are: the instance is frozen and
+    was validated when built, so ``__post_init__`` is not run again.
+    """
+    copy = object.__new__(type(instance))
+    for name in type(instance).__slots__:
+        value = changes[name] if name in changes else getattr(instance, name)
+        object.__setattr__(copy, name, value)
+    return copy
+
+
 # ---------------------------------------------------------------------------
 # shared math utilities
 # ---------------------------------------------------------------------------
@@ -190,6 +203,12 @@ class SourceModel:
         return replace(self, pre_attenuation=pre_attenuation)
 
 
+def _check_loss(channel_loss_db: float) -> None:
+    _require(
+        channel_loss_db >= 0.0, "channel_loss_db", "must be non-negative"
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class LinkModel:
     """Optical chain from transmitter output through channel to detectors.
@@ -259,11 +278,7 @@ class LinkModel:
             "misalignment_prob",
             "must lie in [0, 1]",
         )
-        _require(
-            self.channel_loss_db >= 0.0,
-            "channel_loss_db",
-            "must be non-negative",
-        )
+        _check_loss(self.channel_loss_db)
         _require(
             self.fibre_attenuation > 0.0,
             "fibre_attenuation",
@@ -306,7 +321,9 @@ class LinkModel:
         return scaled
 
     def with_loss(self, channel_loss_db: float) -> "LinkModel":
-        return replace(self, channel_loss_db=channel_loss_db)
+        """This link with another channel loss; only the loss is checked."""
+        _check_loss(channel_loss_db)
+        return _replace_checked(self, channel_loss_db=channel_loss_db)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,7 +416,9 @@ class OperatingPoint:
     budget: SecurityBudget = field(default_factory=SecurityBudget)
 
     def with_loss(self, channel_loss_db: float) -> "OperatingPoint":
-        return replace(self, link=self.link.with_loss(channel_loss_db))
+        return _replace_checked(
+            self, link=self.link.with_loss(channel_loss_db)
+        )
 
     def with_clock_rate(self, clock_rate: float) -> "OperatingPoint":
         return replace(

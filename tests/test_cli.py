@@ -780,19 +780,19 @@ class TestSession:
         )
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "final_key_bits       300" in out
+        assert "final_key_bits       329" in out
         payload = json.loads((out_dir / "ledger.json").read_text())
         ledger = payload["ledger"]
-        assert ledger["raw_z"] == 2316
-        assert ledger["raw_x"] == 2319
-        assert ledger["final_length"] == 300
-        assert payload["finite_report"]["final_key_length"] == 300
+        assert ledger["raw_z"] == 2372
+        assert ledger["raw_x"] == 2350
+        assert ledger["final_length"] == 329
+        assert payload["finite_report"]["final_key_length"] == 329
         alice = (out_dir / "key_alice.bin").read_bytes()
         bob = (out_dir / "key_bob.bin").read_bytes()
         assert alice == bob
-        assert len(alice) == math.ceil(300 / 8)
+        assert len(alice) == math.ceil(329 / 8)
         unpacked = np.unpackbits(np.frombuffer(alice, dtype=np.uint8))
-        assert unpacked[:300].sum() > 0
+        assert unpacked[:329].sum() > 0
 
     def test_zero_key_session_exit_code(self, tmp_path, capsys):
         scenario = _write_scenario(
@@ -1035,67 +1035,67 @@ def test_polcomp_tracking_is_byte_identical(seed, extra, tmp_path, capsys):
 
 #: stdout, exit code and output digests of ``session`` per (channel loss
 #: dB, misalignment probability or None for the table value, pulses,
-#: seed); the 3 dB run needs two reconcile/verify rounds and the
-#: 25.49 dB run ends with an empty key
+#: seed); the 0 dB run corrects hundreds of errors and the 25.49 dB run
+#: ends with an empty key
 _SESSION_GOLDEN = {
     (0.0, 0.02, 2_000_000, 1): (
         EXIT_OK,
         "n_sent               2000000\n"
-        "raw_z                21808\n"
-        "raw_x                21698\n"
-        "observed_error_x     0.023963\n"
-        "corrected_errors     435\n"
-        "reconciliation_leak  3467\n"
+        "raw_z                21740\n"
+        "raw_x                21719\n"
+        "observed_error_x     0.023020\n"
+        "corrected_errors     432\n"
+        "reconciliation_leak  3526\n"
         "verify_rounds        1\n"
-        "final_key_bits       8871\n"
-        "skb_per_pulse        4.435500e-03\n"
-        "skr_bits_per_s       1.011294e+06\n",
-        "98cefd88dec97737a1ad9c2f6d751a0c44b3abe731ad56c55e37e1190890a6f6",
-        "bc3ca1060b60789d88866b48a6158a9a6353f9e055ea62e40dbcf60bd3b372f1",
+        "final_key_bits       8850\n"
+        "skb_per_pulse        4.425000e-03\n"
+        "skr_bits_per_s       1.008900e+06\n",
+        "74794bc293704372288aa320d77d91b570e2039a788bdc6967fa1f7f2c89af8f",
+        "9ac7ccb08712faa76a316da2e1c8bcdbf2402fc4d719de30048ca2496ab0a703",
     ),
     (3.0, None, 2_000_000, 1): (
         EXIT_OK,
         "n_sent               2000000\n"
-        "raw_z                11346\n"
-        "raw_x                11126\n"
+        "raw_z                11458\n"
+        "raw_x                11536\n"
         "observed_error_x     0.000000\n"
-        "corrected_errors     11\n"
-        "reconciliation_leak  223\n"
-        "verify_rounds        2\n"
-        "final_key_bits       5811\n"
-        "skb_per_pulse        2.905500e-03\n"
-        "skr_bits_per_s       6.624540e+05\n",
-        "d154b7f2b45f009d25cc260899fda03e7aa2d0007792acf9a5cacd485fa3e9b6",
-        "21079bc8019cb247b156114934230e125a890964f75c0cb033b8483d04aff891",
+        "corrected_errors     8\n"
+        "reconciliation_leak  103\n"
+        "verify_rounds        1\n"
+        "final_key_bits       6078\n"
+        "skb_per_pulse        3.039000e-03\n"
+        "skr_bits_per_s       6.928920e+05\n",
+        "a78d33e23930cb5ca2be8a6f8c44c525470fe8201f1f5d1750b2cd8875f137dc",
+        "6b07f7ca9417d69ce559ddf1e9e99e750091d8d2a9e86bf8e2c2e9938e58520a",
     ),
     (10.0, None, 4_000_000, 1): (
         EXIT_OK,
         "n_sent               4000000\n"
-        "raw_z                4594\n"
-        "raw_x                4735\n"
+        "raw_z                4672\n"
+        "raw_x                4834\n"
         "observed_error_x     0.000000\n"
-        "corrected_errors     3\n"
-        "reconciliation_leak  40\n"
+        "corrected_errors     2\n"
+        "reconciliation_leak  28\n"
         "verify_rounds        1\n"
-        "final_key_bits       1444\n"
-        "skb_per_pulse        3.610000e-04\n"
-        "skr_bits_per_s       8.230800e+04\n",
-        "072db4c3cb6f243fa770c9f93f2c85df367b3238491da3234cb004d03fd89753",
-        "7ec2444e1726f6e99b0c3f6e3030a07d5356a46d0cd5307289814a2f680542ae",
+        "final_key_bits       1504\n"
+        "skb_per_pulse        3.760000e-04\n"
+        "skr_bits_per_s       8.572800e+04\n",
+        "5b8580467078e377cace783734905d441a7227db1a184ca8740b3f62db7992f9",
+        "21986865f1ff392187fb5d2ac5ec7c4831465bf9134519f3d97cdfb2543867eb",
     ),
     (25.49, None, 4_000_000, 1): (
         EXIT_ZERO_KEY,
         "n_sent               4000000\n"
-        "raw_z                109\n"
-        "raw_x                146\n"
+        "raw_z                152\n"
+        "raw_x                145\n"
         "observed_error_x     0.000000\n"
         "corrected_errors     0\n"
-        "reconciliation_leak  4\n"
+        "reconciliation_leak  3\n"
         "verify_rounds        1\n"
         "final_key_bits       0\n"
         "skb_per_pulse        0.000000e+00\n"
         "skr_bits_per_s       0.000000e+00\n",
-        "20bf7cf2a894a92a881a83a2a2c105f43e6a5e02f88a151bc450f868a70eb8ad",
+        "ffa1c06c295c12e7445a1b7b3c12bffc6d2cdbc2cd113555424c8fd3e5061fc1",
         hashlib.sha256(b"").hexdigest(),
     ),
 }

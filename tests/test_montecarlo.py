@@ -14,9 +14,11 @@ from sps_bb84.montecarlo import (
     NO_TRUTH_STATE,
     AliceRecord,
     Scenario,
-    CHUNK_PULSES,
-    _chunk_workers,
+    _chunk_ranges,
     _deadtime_keep_mask,
+    _event_weights,
+    _lookup,
+    _merge_sorted,
     _pair_offsets,
     _philox,
     _photon_events,
@@ -78,6 +80,14 @@ def test_scenario_rejects_time_overflow():
     with pytest.raises(ParameterError, match="n_pulses"):
         Scenario(operating_point=table_point(), n_pulses=1_200_000_000_000_000,
                  seed=1)
+
+
+def test_scenario_time_span_limit_is_two_to_the_sixtieth_ps():
+    # a 1024 ps period is exact in binary, so 2**50 pulses span 2**60 ps
+    point = table_point().with_clock_rate(1e12 / 1024)
+    Scenario(operating_point=point, n_pulses=2**50 - 1, seed=1)
+    with pytest.raises(ParameterError, match="n_pulses"):
+        Scenario(operating_point=point, n_pulses=2**50, seed=1)
 
 
 def test_scenario_period_matches_clock():
@@ -193,6 +203,25 @@ def test_alice_record_lookup_of_unheld_pulse_raises():
         AliceRecord(n_pulses=10, indices=[], states=[]).states_at([0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    keys=st.sets(st.integers(-5, 40), max_size=20),
+    values=st.lists(st.integers(-8, 45), max_size=30),
+)
+def test_lookup_matches_plain_reference(keys, values):
+    sorted_keys = np.array(sorted(keys), dtype=np.int64)
+    values = np.array(values, dtype=np.int64)
+    position, present = _lookup(sorted_keys, values)
+    keys_list = sorted_keys.tolist()
+    np.testing.assert_array_equal(
+        present, [v in keys for v in values.tolist()]
+    )
+    np.testing.assert_array_equal(
+        position, [sum(k < v for k in keys_list) for v in values.tolist()]
+    )
+    assert present.dtype == bool and position.dtype == np.intp
+
+
 def test_alice_record_rejects_malformed_indices():
     with pytest.raises(ParameterError, match="increasing"):
         AliceRecord(n_pulses=10, indices=[4, 4], states=[0, 1])
@@ -235,6 +264,37 @@ def test_deadtime_filter_matches_greedy_reference(tags, dead_time_ps):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    tags=st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-3, 3),  # dense: many equal times
+                st.integers(-(2**60) + 1, 2**60 - 1),
+            ),
+            st.integers(0, 3),
+        ),
+        max_size=60,
+    )
+)
+def test_merge_order_matches_lexsort_with_ties(tags):
+    time_ps = np.array([t for t, _ in tags], dtype=np.int64)
+    channel = np.array([c for _, c in tags], dtype=np.uint8)
+    half = len(tags) // 2
+    chunks = [
+        {"time_ps": time_ps[part], "channel": channel[part], "row": rows}
+        for part, rows in (
+            (slice(None, half), np.arange(half)),
+            (slice(half, None), np.arange(half, len(tags))),
+        )
+    ]
+    # no dead time: the merge is the permutation alone
+    merged = _merge_sorted(chunks, 0.0)
+    np.testing.assert_array_equal(
+        merged["row"], np.lexsort((channel, time_ps))
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     bounds=st.lists(
@@ -254,14 +314,15 @@ def test_pair_offsets_match_per_tag_ranges(bounds):
 # ---------------------------------------------------------------------------
 
 def _with_workers(monkeypatch, workers: int) -> None:
-    monkeypatch.setattr(
-        montecarlo, "_chunk_workers", lambda scenario, n_chunks: workers
-    )
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
 
 
 def test_run_is_deterministic_across_worker_counts(monkeypatch):
     sc = Scenario(operating_point=table_point().with_loss(10.0),
                   n_pulses=2_500_000, seed=99)
+    # ~1.2e4 expected detections: a smaller target makes several chunks
+    monkeypatch.setattr(montecarlo, "_CHUNK_EVENTS", 5_000)
+    assert len(_chunk_ranges(sc)) >= 3
     _with_workers(monkeypatch, 1)
     alice1, stream1 = simulate_run(sc)
     _with_workers(monkeypatch, 4)
@@ -286,6 +347,8 @@ def test_repeated_runs_are_bit_identical():
 def test_pair_histogram_deterministic_across_worker_counts(monkeypatch):
     sc = Scenario(operating_point=lossless_point(), n_pulses=2_000_000,
                   seed=66)
+    monkeypatch.setattr(montecarlo, "_CHUNK_EVENTS", 20_000)
+    assert len(_chunk_ranges(sc)) >= 3
     _with_workers(monkeypatch, 1)
     h1 = simulate_g2_histogram(sc)
     _with_workers(monkeypatch, 4)
@@ -294,15 +357,75 @@ def test_pair_histogram_deterministic_across_worker_counts(monkeypatch):
     assert h1.origin_ps == h2.origin_ps
 
 
-def test_chunk_workers_pool_only_dense_multi_chunk_runs(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    dense = Scenario(operating_point=lossless_point(),
-                     n_pulses=3 * CHUNK_PULSES, seed=1)
-    sparse = Scenario(operating_point=table_point(),
-                      n_pulses=3 * CHUNK_PULSES, seed=1)
-    assert _chunk_workers(sparse, 3) == 1
-    assert _chunk_workers(dense, 3) == 2
-    assert _chunk_workers(dense, 1) == 1
+def _events_per_pulse(point: OperatingPoint) -> float:
+    return float(_event_weights(point).sum()) + point.link.dark_prob_total(
+        point.protocol.clock_rate
+    )
+
+
+@pytest.mark.parametrize(
+    "loss_db, n_pulses",
+    [(25.49, 410_000_000_000), (25.49, 10_000_000), (0.0, 3_333_333),
+     (10.0, 10_550_818)],
+)
+def test_chunk_plan_covers_run_with_event_sized_chunks(loss_db, n_pulses):
+    point = table_point().with_loss(loss_db)
+    sc = Scenario(operating_point=point, n_pulses=n_pulses, seed=1)
+    ranges = _chunk_ranges(sc)
+    indices, starts, counts = (np.array(c, dtype=np.int64)
+                               for c in zip(*ranges))
+    np.testing.assert_array_equal(indices, np.arange(len(ranges)))
+    # contiguous from 0 to n_pulses: every pulse in exactly one chunk
+    assert starts[0] == 0
+    np.testing.assert_array_equal(starts[1:], starts[:-1] + counts[:-1])
+    assert int(counts.sum()) == n_pulses and (counts > 0).all()
+    rate = _events_per_pulse(point)
+    if rate * n_pulses <= montecarlo._CHUNK_EVENTS:
+        assert ranges == [(0, 0, n_pulses)]
+    else:
+        # all but the last chunk expect the target, rounded up to a pulse
+        length = math.ceil(montecarlo._CHUNK_EVENTS / rate)
+        assert (counts[:-1] == length).all() and counts[-1] <= length
+        assert abs(length * rate - montecarlo._CHUNK_EVENTS) <= rate
+
+
+def test_chunk_plan_is_one_chunk_without_detections():
+    dark_free = LinkModel(dark_count_prob=0.0)
+    for loss_db in (5_000.0, 3_085.0):  # zero, then a subnormal rate
+        point = OperatingPoint(link=dark_free.with_loss(loss_db))
+        assert _events_per_pulse(point) < 1e-300
+        sc = Scenario(operating_point=point, n_pulses=410_000_000_000,
+                      seed=1)
+        assert _chunk_ranges(sc) == [(0, 0, 410_000_000_000)]
+
+
+def test_pool_runs_exactly_the_multi_chunk_runs(monkeypatch):
+    pools = []
+
+    class RecordingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_CHUNK_EVENTS", 5_000)
+    point = table_point().with_loss(10.0)
+
+    def spans(scenario, rng, start, count):
+        return start, count
+
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        for n_pulses in (1, 1_000_000, 1_055_082, 1_055_083, 2_500_000):
+            sc = Scenario(operating_point=point, n_pulses=n_pulses, seed=3)
+            ranges = _chunk_ranges(sc)
+            pools.clear()
+            assert montecarlo._map_chunks(sc, spans) == [
+                (start, count) for _, start, count in ranges
+            ]
+            expected = [min(cpus, len(ranges))] if (
+                cpus > 1 and len(ranges) > 1) else []
+            assert pools == expected
 
 
 def test_different_seeds_differ():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_link_with_loss_returns_new_instance():
     other = link.with_loss(10.0)
     assert other.channel_loss_db == 10.0
     assert link.channel_loss_db == 25.49
+
+
+def test_with_loss_equals_replace_and_checks_the_loss():
+    op = OperatingPoint(
+        source=SourceModel(mean_photon_number=0.2),
+        protocol=ProtocolParams(clock_rate=76e6),
+    )
+    for loss in (0.0, 12.5, 25.49, 300.0):
+        expected = replace(op, link=replace(op.link, channel_loss_db=loss))
+        assert op.with_loss(loss) == expected
+        assert op.link.with_loss(loss) == expected.link
+    for bad in (-1e-9, -3.0, math.nan):
+        for target in (op, op.link):
+            with pytest.raises(ParameterError) as err:
+                target.with_loss(bad)
+            assert err.value.field_name == "channel_loss_db"
+            assert "must be non-negative" in str(err.value)
 
 
 def test_protocol_params_sift_probability():
