@@ -7,8 +7,8 @@ BB84 experiment driven by a sub-Poissonian (quantum-dot style) source:
     Validated parameter containers for the source, the optical link, the
     protocol schedule and the security budget, plus scenario-file loading.
 ``keyrate``
-    Analytic detection/error model and asymptotic secret-key-rate engine,
-    including loss sweeps and operating-point optimization.
+    Analytic detection/error model and secret-key-rate engine, including
+    the maximum-tolerable-loss solver and loss sweeps.
 ``finitekey``
     Finite-block security bounds (concentration inequalities, sampling
     corrections, extractable key length).

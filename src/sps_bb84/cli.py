@@ -32,7 +32,6 @@ from ._table import write_table
 from .keygen import (
     ReconciliationError,
     SessionAbort,
-    SessionPolicy,
     run_session,
 )
 from .keyrate import (
@@ -258,10 +257,6 @@ def _build_scenario(
     )
 
 
-def _print(line: str) -> None:
-    print(line)
-
-
 # ---------------------------------------------------------------------------
 # keyrate
 # ---------------------------------------------------------------------------
@@ -273,19 +268,19 @@ def _cmd_keyrate(args: argparse.Namespace) -> int:
         point = point.with_loss(args.loss)
     report = skb_per_pulse(point, args.regime, args.block_size)
 
-    _print(f"scenario            {config.name}")
-    _print(f"channel_loss_db     {point.link.channel_loss_db:.4f}")
-    _print(f"regime              {report.regime}")
-    _print(f"click_prob          {report.p_c:.6e}")
-    _print(f"multiphoton_prob    {report.p_m:.6e}")
-    _print(f"qber_total          {report.e_tot:.6e}")
-    _print(f"skb_per_pulse       {report.skb_per_pulse:.6e}")
-    _print(f"skr_bits_per_s      {report.skr:.6e}")
+    print(f"scenario            {config.name}")
+    print(f"channel_loss_db     {point.link.channel_loss_db:.4f}")
+    print(f"regime              {report.regime}")
+    print(f"click_prob          {report.p_c:.6e}")
+    print(f"multiphoton_prob    {report.p_m:.6e}")
+    print(f"qber_total          {report.e_tot:.6e}")
+    print(f"skb_per_pulse       {report.skb_per_pulse:.6e}")
+    print(f"skr_bits_per_s      {report.skr:.6e}")
     if report.finite is not None:
         finite = report.finite
-        _print(f"final_key_bits      {finite.final_key_length}")
-        _print(f"phase_error_upper   {finite.phase_error_upper:.6e}")
-    _print(f"positive            {report.positive}")
+        print(f"final_key_bits      {finite.final_key_length}")
+        print(f"phase_error_upper   {finite.phase_error_upper:.6e}")
+    print(f"positive            {report.positive}")
 
     if args.out is not None:
         with RunDirectory(args.out) as run:
@@ -334,7 +329,7 @@ def _cmd_mtl(args: argparse.Namespace) -> int:
         length = loss_to_length(loss, point.link.fibre_attenuation)
         block_text = "" if block is None else f"{block:.6e}"
         rows.append([label, block_text, f"{loss:.6f}", f"{length:.6f}"])
-        _print(
+        print(
             f"regime {label:>12}  mtl_db {loss:8.3f}  length_km "
             f"{length:8.2f}"
         )
@@ -388,8 +383,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             block_size=args.block_size,
         )
         positive = sum(row.report.positive for row in rows)
-        _print(f"swept {len(rows)} points on axis {args.axis}")
-        _print(f"positive_points     {positive}")
+        print(f"swept {len(rows)} points on axis {args.axis}")
+        print(f"positive_points     {positive}")
         write_sweep_csv(rows, run.file("sweep.csv"))
         run.finalize(args, config.name, None)
     return EXIT_OK
@@ -409,7 +404,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 scenario, bin_width_ps=args.bin_width
             )
             write_histogram_csv(histogram, run.file("g2_histogram.csv"))
-            _print(
+            print(
                 f"simulated {scenario.n_pulses} pulses into a pair "
                 f"histogram ({histogram.total()} coincidences)"
             )
@@ -430,7 +425,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             else:
                 write_tags(stream, run.file("tags.bin"))
             np.save(run.file("alice_states.npy"), alice.as_records())
-            _print(
+            print(
                 f"simulated {scenario.n_pulses} pulses -> "
                 f"{len(stream)} detector tags"
             )
@@ -531,15 +526,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "lifetime_ps_fit",
         ):
             if key in report and report[key] is not None:
-                _print(f"{key:<22} {report[key]}")
-        _print(
+                print(f"{key:<22} {report[key]}")
+        print(
             f"window                 start={window.start_ps:.1f} ps "
             f"width={window.width_ps:.1f} ps "
             f"acceptance={window.acceptance:.4f}"
         )
         if "g2_zero" in report:
             g2 = report["g2_zero"]
-            _print(
+            print(
                 f"g2_zero                {g2['value']:.4f} "
                 f"+/- {g2['sigma']:.4f}"
             )
@@ -557,9 +552,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_session(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario = _build_scenario(config, args)
-    policy = SessionPolicy(disclose_fraction=args.disclose)
     with RunDirectory(args.out) as run:
-        result = run_session(scenario, policy)
+        result = run_session(scenario, args.disclose)
         ledger = result.ledger
 
         payload = {
@@ -592,7 +586,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
             ("skb_per_pulse", f"{result.skb_per_pulse:.6e}"),
             ("skr_bits_per_s", f"{result.skr_bits_per_second:.6e}"),
         ):
-            _print(f"{label:<20} {value}")
+            print(f"{label:<20} {value}")
 
         _write_json(run.file("ledger.json"), payload)
         for name, key in (
@@ -648,10 +642,10 @@ def _cmd_polcomp(args: argparse.Namespace) -> int:
         CompensatorState(plates=args.plates), probe, budget=args.budget
     )
     static_residual = _measured_qber(drift, static, floor) - floor
-    _print(f"qber_floor          {floor:.6e}")
-    _print(f"drift_angle_rad     {drift.rotation_angle:.6f}")
-    _print(f"static_probes       {static.iterations}")
-    _print(f"static_residual     {static_residual:.6e}")
+    print(f"qber_floor          {floor:.6e}")
+    print(f"drift_angle_rad     {drift.rotation_angle:.6f}")
+    print(f"static_probes       {static.iterations}")
+    print(f"static_residual     {static_residual:.6e}")
 
     payload = {
         "scenario": config.name,
@@ -683,7 +677,7 @@ def _cmd_polcomp(args: argparse.Namespace) -> int:
             "mean_residual": float(trace.residual_qber.mean() - floor),
             "max_residual": float(trace.residual_qber.max() - floor),
         }
-        _print(
+        print(
             f"tracking_residual   mean "
             f"{payload['tracking']['mean_residual']:.6e} max "
             f"{payload['tracking']['max_residual']:.6e}"

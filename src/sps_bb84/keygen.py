@@ -39,7 +39,6 @@ __all__ = [
     "KeySessionLedger",
     "ReconciliationError",
     "SessionAbort",
-    "SessionPolicy",
     "SessionResult",
     "SiftedKey",
     "estimate_error_rate",
@@ -54,6 +53,13 @@ __all__ = [
 #: spawn-key prefix separating session-stage generators from the
 #: simulator's per-chunk generators, which spawn on a single index
 _SESSION_SPAWN = 0x5E5510
+
+#: lowest error rate a session assumes when sizing reconciliation blocks
+_QBER_FLOOR = 1e-3
+#: parity passes before reconciliation gives up
+_MAX_RECONCILE_PASSES = 25
+#: reconcile→verify rounds before a session gives up
+_MAX_VERIFY_ROUNDS = 8
 
 
 class ReconciliationError(RuntimeError):
@@ -161,12 +167,10 @@ def sift(
 
 @dataclass(frozen=True, slots=True)
 class EstimateResult:
-    """Observed error rate of a disclosed sample, plus the kept remainder."""
+    """Observed error rate of a disclosed sample and where it was taken."""
 
     error_rate: float
     n_disclosed: int
-    alice_remaining: np.ndarray
-    bob_remaining: np.ndarray
     disclosed_indices: np.ndarray
 
 
@@ -178,8 +182,8 @@ def estimate_error_rate(
 ) -> EstimateResult:
     """Disclose a uniform random sample and measure its mismatch fraction.
 
-    Disclosed positions are removed from both returned keys.  A fraction
-    of 1 discloses everything (the remainder is then empty).
+    The disclosed positions are returned sorted; a fraction of 1
+    discloses everything.
     """
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
@@ -205,13 +209,9 @@ def estimate_error_rate(
     mismatches = int(
         (alice_bits[positions] != bob_bits[positions]).sum()
     )
-    keep = np.ones(n, dtype=bool)
-    keep[positions] = False
     return EstimateResult(
         error_rate=mismatches / n_disclosed,
         n_disclosed=n_disclosed,
-        alice_remaining=alice_bits[keep],
-        bob_remaining=bob_bits[keep],
         disclosed_indices=positions,
     )
 
@@ -261,8 +261,7 @@ def reconcile(
     bob_bits: np.ndarray,
     qber_estimate: float,
     rng: np.random.Generator | None = None,
-    max_passes: int = 25,
-    shuffle_first_pass: bool = False,
+    max_passes: int = _MAX_RECONCILE_PASSES,
 ) -> tuple[np.ndarray, int]:
     """Correct ``bob_bits`` toward ``alice_bits`` by parity exchange.
 
@@ -270,10 +269,9 @@ def reconcile(
     mismatching blocks; every corrected bit re-opens the blocks covering
     it in earlier passes (whose stored parities flip), so error pairs
     masked in one pass are unwound by later ones.  Block sizes start near
-    0.73 / qber_estimate and double each pass under a fresh shuffle; by
-    default the first pass is unshuffled, so a single error is located
-    directly (retries set ``shuffle_first_pass`` so a repeat run draws
-    fresh blocks).
+    0.73 / qber_estimate and double each pass; every pass, the first
+    included, draws a fresh shuffle from ``rng``, so a repeat run on the
+    same keys draws fresh blocks.
 
     Returns the corrected key and the number of parity bits disclosed
     (block parities plus one bit per binary-search level).  Terminates
@@ -354,10 +352,7 @@ def reconcile(
     total_corrections = 0
     block_size = _initial_block_size(n, qber_estimate)
     for pass_index in range(max_passes):
-        if pass_index == 0 and not shuffle_first_pass:
-            order = np.arange(n, dtype=np.int64)
-        else:
-            order = rng.permutation(n).astype(np.int64)
+        order = rng.permutation(n).astype(np.int64)
         inverse = np.empty(n, dtype=np.int64)
         inverse[order] = np.arange(n, dtype=np.int64)
         shuffled = diff[order]
@@ -561,45 +556,6 @@ def privacy_amplify(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class SessionPolicy:
-    """Classical post-processing knobs for one key session.
-
-    ``max_verify_rounds`` bounds reconcile→verify repetitions: a failed
-    verification means errors survived reconciliation (typically a pair
-    masked inside one parity block), so the session reconciles again
-    under fresh shuffles with a doubled error assumption, charging every
-    extra disclosure to the leakage account.
-    """
-
-    disclose_fraction: float = 0.10
-    qber_floor: float = 1e-3
-    max_reconcile_passes: int = 25
-    max_verify_rounds: int = 8
-
-    def __post_init__(self) -> None:
-        _require(
-            0.0 < self.disclose_fraction <= 1.0,
-            "disclose_fraction",
-            "must lie in (0, 1]",
-        )
-        _require(
-            0.0 < self.qber_floor <= 0.5,
-            "qber_floor",
-            "must lie in (0, 0.5]",
-        )
-        _require(
-            self.max_reconcile_passes >= 1,
-            "max_reconcile_passes",
-            "must be >= 1",
-        )
-        _require(
-            self.max_verify_rounds >= 1,
-            "max_verify_rounds",
-            "must be >= 1",
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class KeySessionLedger:
     """Exact bit accounting of one session.
 
@@ -699,17 +655,28 @@ class SessionResult:
 
 def run_session(
     scenario: Scenario,
-    policy: SessionPolicy = SessionPolicy(),
+    disclose_fraction: float = 0.10,
 ) -> SessionResult:
     """Run the full pipeline on one simulated acquisition.
 
     The rectilinear basis carries the key; the diagonal basis is the
-    estimation basis, of which ``policy.disclose_fraction`` is revealed
-    to bound the phase-error rate.  The measured reconciliation leak
-    (not the inefficiency model) enters the extractable-length formula.
-    A session beyond the loss tolerance returns an empty key with a
+    estimation basis, of which ``disclose_fraction`` (in (0, 1], checked
+    before anything is simulated) is revealed to bound the phase-error
+    rate.  Reconciliation assumes that observed rate, clamped to
+    [``_QBER_FLOOR``, 0.5].  A failed verification means errors survived
+    reconciliation (typically a pair masked inside one parity block), so
+    the session reconciles again under fresh shuffles with a doubled
+    assumption, for at most ``_MAX_VERIFY_ROUNDS`` rounds, charging every
+    extra disclosure to the leak.  The measured reconciliation leak (not
+    the inefficiency model) enters the extractable-length formula.  A
+    session beyond the loss tolerance returns an empty key with a
     complete ledger rather than raising.
     """
+    _require(
+        0.0 < disclose_fraction <= 1.0,
+        "disclose_fraction",
+        "must lie in (0, 1]",
+    )
     alice, stream = simulate_run(scenario)
     z_key, x_key = sift(alice, stream)
     raw_z, raw_x = len(z_key), len(x_key)
@@ -733,7 +700,7 @@ def run_session(
     estimate = estimate_error_rate(
         alice_x,
         x_key.bits,
-        policy.disclose_fraction,
+        disclose_fraction,
         rng=_philox(scenario.seed, _SESSION_SPAWN, 0),
     )
     transcript.append(("estimation", 2 * estimate.n_disclosed))
@@ -742,19 +709,17 @@ def run_session(
     reconcile_rng = _philox(scenario.seed, _SESSION_SPAWN, 1)
     verify_rng = _philox(scenario.seed, _SESSION_SPAWN, 2)
     corrected = z_key.bits
-    assumed_qber = max(estimate.error_rate, policy.qber_floor)
+    assumed_qber = min(0.5, max(estimate.error_rate, _QBER_FLOOR))
     leak_total = 0
     verify_rounds = 0
     verified = False
-    while verify_rounds < policy.max_verify_rounds:
+    while verify_rounds < _MAX_VERIFY_ROUNDS:
         try:
             corrected, leaked = reconcile(
                 alice_z,
                 corrected,
                 assumed_qber,
                 rng=reconcile_rng,
-                max_passes=policy.max_reconcile_passes,
-                shuffle_first_pass=True,
             )
         except ReconciliationError as exc:
             raise SessionAbort("reconciliation", str(exc)) from exc

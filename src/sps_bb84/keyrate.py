@@ -12,10 +12,9 @@ renewal argument on the pulse grid.
 On top of the click model sits :func:`skb_per_pulse`, the one secret-key
 evaluator: a single click-model pass per operating point feeds either the
 asymptotic formula or the finite-block bridge into
-:mod:`sps_bb84.finitekey`.  The maximum-tolerable-loss solver, the
-operating-point optimizer and the serial sweep driver all evaluate
-through it; sweep rows are written, and source datasets read, through
-the package's one CSV table codec.
+:mod:`sps_bb84.finitekey`.  The maximum-tolerable-loss solver and the
+serial :func:`sweep` both evaluate through it; sweep rows are written,
+and source datasets read, through the package's one CSV table codec.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 from ._table import read_table, write_table
 from .finitekey import FiniteBlockInput, FiniteKeyReport, finite_skb_per_pulse
@@ -44,7 +43,6 @@ __all__ = [
     "finite_block_input",
     "skb_per_pulse",
     "max_tolerable_loss",
-    "optimize_operating_point",
     "sweep",
     "write_sweep_csv",
     "read_dataset_csv",
@@ -362,17 +360,8 @@ def max_tolerable_loss(
 
 
 # ---------------------------------------------------------------------------
-# operating-point optimization
+# one-dimensional maximization
 # ---------------------------------------------------------------------------
-
-_FREE_PARAMETERS = ("pre_attenuation", "basis_bias")
-
-
-def _with_free_value(op: OperatingPoint, name: str, value: float) -> OperatingPoint:
-    if name == "pre_attenuation":
-        return op.with_source(op.source.with_pre_attenuation(value))
-    return op.with_basis_bias(value)
-
 
 def _golden_refine(
     objective: Callable[[float], float],
@@ -397,56 +386,6 @@ def _golden_refine(
             fd = objective(d)
     best = c if fc >= fd else d
     return best, max(fc, fd)
-
-
-def optimize_operating_point(
-    op: OperatingPoint,
-    free: Iterable[str] = ("pre_attenuation",),
-    regime: Regime = "asymptotic",
-    block_size: float | None = None,
-) -> tuple[OperatingPoint, KeyRateReport]:
-    """Maximize the key fraction over transmitter-side free parameters.
-
-    ``free`` may contain ``pre_attenuation`` and/or ``basis_bias``.  Each
-    free parameter is scanned on a coarse grid and refined by golden
-    section; with two free parameters the coordinate passes alternate.
-    Never returns a point worse than the input.
-    """
-    free = tuple(free)
-    if not free:
-        raise ParameterError("free", "at least one free parameter required")
-    for name in free:
-        if name not in _FREE_PARAMETERS:
-            raise ParameterError(
-                "free", f"unknown free parameter {name!r}"
-            )
-    bounds = {"pre_attenuation": (0.02, 1.0), "basis_bias": (0.05, 0.95)}
-
-    def evaluate(candidate: OperatingPoint) -> float:
-        return skb_per_pulse(candidate, regime, block_size).skb_per_pulse
-
-    best_op = op
-    best_value = evaluate(op)
-    passes = 2 if len(free) > 1 else 1
-    for _ in range(passes):
-        for name in free:
-            lo, hi = bounds[name]
-
-            def objective(x: float, _name: str = name) -> float:
-                return evaluate(_with_free_value(best_op, _name, x))
-
-            grid = [lo + k * (hi - lo) / 24.0 for k in range(25)]
-            values = [objective(x) for x in grid]
-            k_best = max(range(len(grid)), key=values.__getitem__)
-            g_lo = grid[max(0, k_best - 1)]
-            g_hi = grid[min(len(grid) - 1, k_best + 1)]
-            x_ref, v_ref = _golden_refine(objective, g_lo, g_hi)
-            candidates = [(values[k_best], grid[k_best]), (v_ref, x_ref)]
-            v_new, x_new = max(candidates)
-            if v_new > best_value:
-                best_value = v_new
-                best_op = _with_free_value(best_op, name, x_new)
-    return best_op, skb_per_pulse(best_op, regime, block_size)
 
 
 # ---------------------------------------------------------------------------

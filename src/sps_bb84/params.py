@@ -29,7 +29,6 @@ __all__ = [
     "binary_entropy",
     "sift_ratio",
     "loss_to_length",
-    "length_to_loss",
     "load_scenario",
     "scenario_from_mapping",
 ]
@@ -123,16 +122,6 @@ def loss_to_length(loss_db: float, attenuation_db_per_km: float) -> float:
     return loss_db / attenuation_db_per_km
 
 
-def length_to_loss(length_km: float, attenuation_db_per_km: float) -> float:
-    """Convert a fibre length in km to its channel loss in dB."""
-    _require(
-        attenuation_db_per_km > 0.0,
-        "attenuation_db_per_km",
-        "must be positive",
-    )
-    return length_km * attenuation_db_per_km
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
@@ -199,9 +188,6 @@ class SourceModel:
         p0 = 1.0 - p1 - p2
         return p0, p1, p2
 
-    def with_pre_attenuation(self, pre_attenuation: float) -> "SourceModel":
-        return replace(self, pre_attenuation=pre_attenuation)
-
 
 def _check_loss(channel_loss_db: float) -> None:
     _require(
@@ -231,7 +217,9 @@ class LinkModel:
     channel_loss_db, fibre_attenuation
         Channel loss in dB and fibre attenuation in dB/km.
     detector_count
-        Number of signal detectors behind the decoder (one per port).
+        Number of signal detectors behind the decoder, one per port.  The
+        receiver has exactly four ports (H, V, D, A), so it must be 4;
+        scenario files may still set it.
     receiver_includes_detector
         When true (default), ``receiver_efficiency`` is taken as the full
         receiver chain including the detectors, and ``detector_efficiency``
@@ -284,7 +272,11 @@ class LinkModel:
             "fibre_attenuation",
             "must be positive",
         )
-        _require(self.detector_count >= 1, "detector_count", "must be >= 1")
+        _require(
+            self.detector_count == 4,
+            "detector_count",
+            "must be 4, one detector per port (H, V, D, A)",
+        )
 
     @property
     def channel_transmittance(self) -> float:
@@ -427,11 +419,6 @@ class OperatingPoint:
 
     def with_source(self, source: SourceModel) -> "OperatingPoint":
         return replace(self, source=source)
-
-    def with_basis_bias(self, basis_bias: float) -> "OperatingPoint":
-        return replace(
-            self, protocol=replace(self.protocol, basis_bias=basis_bias)
-        )
 
 
 @dataclass(frozen=True, slots=True)

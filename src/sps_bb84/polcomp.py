@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import write_table
 from .keyrate import qber_total
 from .params import OperatingPoint, _require
 
@@ -37,7 +37,6 @@ __all__ = [
     "basis_error_rates",
     "compensate",
     "measured_qber",
-    "read_trace_csv",
     "residual_rotation",
     "rotation_from_axis_angle",
     "track_compensation",
@@ -603,10 +602,3 @@ def write_trace_csv(trace: CompensationTrace, path: str | Path) -> None:
         for *values, probes in zip(*floats, trace.probes_used)
     )
     write_table(path, _TRACE_HEADER, rows)
-
-
-def read_trace_csv(path: str | Path) -> CompensationTrace:
-    parsers = (float, float, float, np.int64)
-    columns = read_table(path, "trace", _TRACE_HEADER, parsers)
-    # the columns are the trace's fields in order; it sets their dtypes
-    return CompensationTrace(*columns)

@@ -2,9 +2,8 @@
 
 Builds sync-correlation histograms, estimates the second-order
 correlation g²(0) from coincidence histograms, accumulates encoded-state
-truth tables with fidelity and per-basis error rates, fits emission
-lifetimes, and searches temporal acceptance windows that maximize the
-extractable key fraction.
+truth tables and their fidelity, fits emission lifetimes, and searches
+temporal acceptance windows that maximize the extractable key fraction.
 
 Delay convention: all sync-relative quantities use the delay from the
 previous reference tick, so delays live in [0, pulse period).  Detection
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "CorrelationHistogram",
     "G2Estimate",
     "InsufficientStatisticsError",
-    "BasisQber",
     "TemporalWindowResult",
     "TruthTable",
     "correlate",
@@ -39,11 +37,9 @@ __all__ = [
     "fit_lifetime",
     "g2_zero",
     "optimize_temporal_window",
-    "qber_from_table",
     "read_histogram_csv",
     "truth_table",
     "write_histogram_csv",
-    "write_truth_table_csv",
 ]
 
 class InsufficientStatisticsError(RuntimeError):
@@ -130,15 +126,6 @@ class TruthTable:
                 )
             scaled[state] = self.counts[state] / matched
         return TruthTable(counts=scaled, normalized=True)
-
-
-@dataclass(frozen=True, slots=True)
-class BasisQber:
-    """Wrong-port fractions within matched-basis coincidences."""
-
-    z: float
-    x: float
-    combined: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,27 +377,6 @@ def fidelity(table: TruthTable) -> float:
     return min(1.0, max(0.0, score / 4.0))
 
 
-def qber_from_table(table: TruthTable) -> BasisQber:
-    """Wrong-port fraction within matched-basis entries, per basis."""
-    counts = table.counts
-    per_basis = []
-    for basis in range(2):
-        rows = (2 * basis, 2 * basis + 1)
-        matched = sum(counts[r, 2 * basis + c] for r in rows for c in (0, 1))
-        if matched <= 0.0:
-            raise ParameterError(
-                "counts", "table has no matched-basis coincidences"
-            )
-        wrong = counts[rows[0], 2 * basis + 1] + counts[rows[1], 2 * basis]
-        per_basis.append((wrong, matched))
-    z = per_basis[0][0] / per_basis[0][1]
-    x = per_basis[1][0] / per_basis[1][1]
-    combined = (per_basis[0][0] + per_basis[1][0]) / (
-        per_basis[0][1] + per_basis[1][1]
-    )
-    return BasisQber(z=z, x=x, combined=combined)
-
-
 def _dark_floor_per_bin(counts: np.ndarray) -> float:
     """Flat background level, estimated from the emptiest decile of bins."""
     quiet = np.sort(counts.astype(np.float64))
@@ -421,9 +387,6 @@ def _dark_floor_per_bin(counts: np.ndarray) -> float:
 def optimize_temporal_window(
     point: OperatingPoint,
     response: CorrelationHistogram,
-    objective: Literal["asymptotic", "finite"] = "asymptotic",
-    block_size: float | None = None,
-    g2_histogram: CorrelationHistogram | None = None,
 ) -> TemporalWindowResult:
     """Choose the acceptance window that maximizes the key fraction.
 
@@ -435,26 +398,10 @@ def optimize_temporal_window(
     probability — multiphoton emission is untouched, which is exactly why
     narrowing the window can win.  The full window is always a candidate,
     so the result is never worse than no filtering.  Window edges step
-    by 1/80 of the histogram span (at least one bin).
-
-    If a coincidence ``g2_histogram`` is supplied, its measured g²(0)
-    replaces the configured source value before the search.
+    by 1/80 of the histogram span (at least one bin).  The search is
+    asymptotic at the point's configured g²(0).
     """
-    _require(
-        objective in ("asymptotic", "finite"),
-        "objective",
-        "must be asymptotic or finite",
-    )
-    if g2_histogram is not None:
-        estimate = g2_zero(
-            g2_histogram,
-            period_ps=1e12 / point.protocol.clock_rate,
-            lifetime_ps=point.source.lifetime,
-        )
-        point = point.with_source(
-            replace(point.source, g2_zero=min(1.0, max(0.0, estimate.value)))
-        )
-    baseline = skb_per_pulse(point, regime=objective, block_size=block_size)
+    baseline = skb_per_pulse(point)
 
     counts = response.counts.astype(np.float64)
     n_bins = response.n_bins
@@ -481,9 +428,7 @@ def optimize_temporal_window(
                 dark_count_prob=link.dark_count_prob * width_fraction,
             ),
         )
-        report = skb_per_pulse(
-            filtered, regime=objective, block_size=block_size
-        )
+        report = skb_per_pulse(filtered)
         return report, filtered, acceptance
 
     best_report, best_point, best_acceptance = evaluate(0, n_bins)
@@ -546,12 +491,3 @@ def read_histogram_csv(path: str | Path) -> CorrelationHistogram:
         counts=np.array(counts, dtype=np.int64),
         origin_ps=centers[0] - 0.5 * width,
     )
-
-
-def write_truth_table_csv(table: TruthTable, path: str | Path) -> None:
-    names = ("H", "V", "D", "A")
-    rows = (
-        [name, *(f"{v:.9g}" for v in counts)]
-        for name, counts in zip(names, table.counts)
-    )
-    write_table(path, ["encoded", *names], rows)

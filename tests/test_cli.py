@@ -829,6 +829,53 @@ class TestSession:
         assert "abort" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_estimate_above_half_is_clamped_for_reconcile(
+        self, tmp_path, capsys
+    ):
+        # the one disclosed X bit is wrong, so the observed rate is 1.0;
+        # reconciliation must still get an assumption in [0, 0.5]
+        scenario = _write_scenario(
+            tmp_path / "noisy.json",
+            {
+                "link.channel_loss_db": 22.246,
+                "link.misalignment_prob": 0.2,
+            },
+        )
+        out_dir = tmp_path / "noisy"
+        code = main(
+            [
+                "session",
+                "--scenario",
+                str(scenario),
+                "--pulses",
+                "23927",
+                "--seed",
+                "1592190912",
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == EXIT_ZERO_KEY
+        ledger = json.loads((out_dir / "ledger.json").read_text())["ledger"]
+        assert (ledger["raw_z"], ledger["raw_x"]) == (1, 2)
+        assert ledger["observed_error_x"] == 1.0
+        assert ledger["final_length"] == 0
+
+    def test_detector_count_other_than_four_is_validation_error(
+        self, tmp_path, capsys
+    ):
+        scenario = _write_scenario(
+            tmp_path / "five.json",
+            {"link.detector_count": 5, "simulation.n_pulses": 20000},
+        )
+        out_dir = tmp_path / "five"
+        code = main(
+            ["session", "--scenario", str(scenario), "--out", str(out_dir)]
+        )
+        assert code == EXIT_VALIDATION
+        assert "detector_count" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_output_collision_rejected_before_running(
         self, tmp_path, loss10_scenario, capsys
     ):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -64,6 +65,25 @@ def test_every_imported_name_is_used_or_exported():
             for name in sorted(_imported_names(tree) - kept)
         ]
     assert unused == []
+
+
+def test_every_exported_name_exists():
+    # a stale ``__all__`` entry passes the test above and fails only on
+    # ``from module import *``
+    package = Path(sps_bb84.__file__).parent
+    stale = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(
+            "sps_bb84" if path.stem == "__init__" else f"sps_bb84.{path.stem}"
+        )
+        stale += [
+            f"{path.name}: {entry}"
+            for entry in getattr(module, "__all__", ())
+            if not hasattr(module, entry)
+        ]
+    assert stale == []
 
 
 def test_cli_import_does_not_load_scipy():

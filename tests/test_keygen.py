@@ -7,9 +7,11 @@ expectations (leak counts, ledger identities, hash equalities) are exact.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from sps_bb84.keygen import (
     KeySessionLedger,
     ReconciliationError,
     SessionAbort,
-    SessionPolicy,
     SiftedKey,
     estimate_error_rate,
     privacy_amplify,
@@ -293,10 +294,9 @@ class TestEstimateErrorRate:
         )
         assert result.error_rate == pytest.approx(6 / 40)
         assert result.n_disclosed == 40
-        assert len(result.alice_remaining) == 0
-        assert len(result.bob_remaining) == 0
+        np.testing.assert_array_equal(result.disclosed_indices, np.arange(40))
 
-    def test_disclosed_positions_are_removed(self):
+    def test_rate_is_the_disclosed_sample_mismatch_fraction(self):
         alice = _random_bits(4, 200)
         bob = _random_bits(5, 200)
         result = estimate_error_rate(
@@ -306,12 +306,6 @@ class TestEstimateErrorRate:
         assert result.n_disclosed == 50
         idx = result.disclosed_indices
         assert (np.diff(idx) > 0).all()
-        np.testing.assert_array_equal(
-            result.alice_remaining, np.delete(alice, idx)
-        )
-        np.testing.assert_array_equal(
-            result.bob_remaining, np.delete(bob, idx)
-        )
         # the reported rate is exactly the sample's mismatch fraction
         assert result.error_rate == pytest.approx(
             float((alice[idx] != bob[idx]).mean())
@@ -518,23 +512,20 @@ class TestReconcile:
         assert leaked == 79 + 7 + math.ceil(10_000 / 256) == 126
 
     def test_error_pair_hidden_in_one_block_needs_reshuffle(self):
-        # two errors inside one initial block cancel in every parity, so
-        # an unshuffled first pass terminates without fixing them; a
-        # second call with a shuffled first pass separates the pair --
-        # exactly the retry loop the session driver runs
+        # two errors at the first two positions of the first pass's
+        # shuffle share one block and cancel in every parity, so that
+        # pass terminates without fixing them; a second call draws a
+        # fresh shuffle that separates the pair -- exactly the retry
+        # loop of run_session
         alice = _random_bits(55, 2048)
         bob = alice.copy()
-        bob[3] ^= 1
-        bob[7] ^= 1
         rng = np.random.default_rng(77)
-        first, leaked_first = reconcile(
-            alice, bob, 0.001, rng=rng, shuffle_first_pass=False
-        )
+        first_order = copy.deepcopy(rng).permutation(2048)
+        bob[first_order[:2]] ^= 1
+        first, leaked_first = reconcile(alice, bob, 0.001, rng=rng)
         assert not np.array_equal(first, alice)
         assert leaked_first == 2
-        second, leaked_second = reconcile(
-            alice, first, 0.002, rng=rng, shuffle_first_pass=True
-        )
+        second, leaked_second = reconcile(alice, first, 0.002, rng=rng)
         np.testing.assert_array_equal(second, alice)
         assert leaked_second == 24
 
@@ -589,23 +580,19 @@ class TestReconcile:
         qber_estimate=st.one_of(
             st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)
         ),
-        shuffle_first_pass=st.booleans(),
         max_passes=st.integers(1, 25),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=1, error_rate=0.2, qber_estimate=0.0,
-             shuffle_first_pass=False, max_passes=1, seed=0)
-    @example(n=2, error_rate=0.2, qber_estimate=0.5,
-             shuffle_first_pass=True, max_passes=3, seed=1)
-    @example(n=1000, error_rate=0.05, qber_estimate=0.05,
-             shuffle_first_pass=False, max_passes=25, seed=2)
-    @example(n=5000, error_rate=0.2, qber_estimate=0.2,
-             shuffle_first_pass=True, max_passes=25, seed=3)
-    @example(n=4999, error_rate=0.02, qber_estimate=0.001,
-             shuffle_first_pass=True, max_passes=25, seed=4)
+    @example(n=1, error_rate=0.2, qber_estimate=0.0, max_passes=1, seed=0)
+    @example(n=2, error_rate=0.2, qber_estimate=0.5, max_passes=3, seed=1)
+    @example(n=1000, error_rate=0.05, qber_estimate=0.05, max_passes=25,
+             seed=2)
+    @example(n=5000, error_rate=0.2, qber_estimate=0.2, max_passes=25,
+             seed=3)
+    @example(n=4999, error_rate=0.02, qber_estimate=0.001, max_passes=25,
+             seed=4)
     def test_matches_reference_reconcile(
-        self, n, error_rate, qber_estimate, shuffle_first_pass,
-        max_passes, seed,
+        self, n, error_rate, qber_estimate, max_passes, seed,
     ):
         # equal corrected key, equal leak and equal generator state
         # afterwards (sessions reuse one generator across rounds), or
@@ -613,21 +600,23 @@ class TestReconcile:
         data = np.random.default_rng(seed)
         alice = data.integers(0, 2, n, dtype=np.uint8)
         bob = alice ^ (data.random(n) < error_rate).astype(np.uint8)
-        options = dict(
-            max_passes=max_passes, shuffle_first_pass=shuffle_first_pass
-        )
         expected_rng = np.random.default_rng(seed + 1)
         actual_rng = np.random.default_rng(seed + 1)
         try:
             expected = _reference_reconcile(
-                alice, bob, qber_estimate, rng=expected_rng, **options
+                alice, bob, qber_estimate, rng=expected_rng,
+                max_passes=max_passes, shuffle_first_pass=True,
             )
         except ReconciliationError:
             with pytest.raises(ReconciliationError):
-                reconcile(alice, bob, qber_estimate, rng=actual_rng, **options)
+                reconcile(
+                    alice, bob, qber_estimate, rng=actual_rng,
+                    max_passes=max_passes,
+                )
         else:
             corrected, leaked = reconcile(
-                alice, bob, qber_estimate, rng=actual_rng, **options
+                alice, bob, qber_estimate, rng=actual_rng,
+                max_passes=max_passes,
             )
             np.testing.assert_array_equal(corrected, expected[0])
             assert leaked == expected[1]
@@ -855,24 +844,21 @@ class TestPrivacyAmplify:
 
 
 # ---------------------------------------------------------------------------
-# session policy and ledger
+# disclose fraction and ledger
 # ---------------------------------------------------------------------------
 
 class TestPolicyAndLedger:
-    def test_policy_defaults(self):
-        policy = SessionPolicy()
-        assert policy.disclose_fraction == pytest.approx(0.10)
-        assert policy.max_verify_rounds == 8
-
     def test_policy_validation(self):
-        with pytest.raises(ParameterError, match="disclose_fraction"):
-            SessionPolicy(disclose_fraction=0.0)
-        with pytest.raises(ParameterError, match="qber_floor"):
-            SessionPolicy(qber_floor=0.6)
-        with pytest.raises(ParameterError, match="max_reconcile_passes"):
-            SessionPolicy(max_reconcile_passes=0)
-        with pytest.raises(ParameterError, match="max_verify_rounds"):
-            SessionPolicy(max_verify_rounds=0)
+        scenario = Scenario(
+            operating_point=OperatingPoint(), n_pulses=10, seed=1
+        )
+        with mock.patch.object(
+            keygen, "simulate_run", side_effect=AssertionError("simulated")
+        ) as simulate:
+            for bad in (0.0, -0.1, 1.5):
+                with pytest.raises(ParameterError, match="disclose_fraction"):
+                    run_session(scenario, disclose_fraction=bad)
+        simulate.assert_not_called()
 
     @staticmethod
     def _ledger(**overrides):
@@ -1077,7 +1063,7 @@ class TestRunSession:
                 n_pulses=2_000_000,
                 seed=900,
             ),
-            policy=SessionPolicy(disclose_fraction=0.2),
+            disclose_fraction=0.2,
         )
         ledger = result.ledger
         assert ledger.disclosed_bits == round(0.2 * ledger.raw_x)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from sps_bb84.keyrate import (
     finite_block_input,
     max_tolerable_loss,
     multiphoton_bound,
-    optimize_operating_point,
     qber_total,
     read_dataset_csv,
     skb_per_pulse,
@@ -65,7 +65,7 @@ def test_multiphoton_bound_after_transmitter():
 
 def test_multiphoton_bound_scales_with_square_of_attenuation():
     half = TABLE_POINT.with_source(
-        TABLE_POINT.source.with_pre_attenuation(0.5)
+        replace(TABLE_POINT.source, pre_attenuation=0.5)
     )
     full = multiphoton_bound(TABLE_POINT)
     assert multiphoton_bound(half) == pytest.approx(0.25 * full, rel=1e-12)
@@ -298,7 +298,9 @@ def test_finite_block_input_balanced_geometry():
 
 
 def test_finite_block_input_biased_geometry():
-    point = TABLE_POINT.with_basis_bias(0.9)
+    point = replace(
+        TABLE_POINT, protocol=replace(TABLE_POINT.protocol, basis_bias=0.9)
+    )
     block = finite_block_input(point, block_size=1e6)
     assert block.n_x / block.n_z == pytest.approx(81.0, rel=1e-12)
 
@@ -446,53 +448,38 @@ def test_max_tolerable_loss_raises_when_never_positive():
 
 
 # ---------------------------------------------------------------------------
-# operating-point optimization
+# operating points off the table defaults
 # ---------------------------------------------------------------------------
 
-def test_optimizer_keeps_full_brightness_on_clean_link():
-    point = clean_point()
-    best, report = optimize_operating_point(
-        point, free=("pre_attenuation",), regime="asymptotic"
-    )
-    assert best.source.pre_attenuation == pytest.approx(1.0, abs=1e-6)
-    assert report.positive
-
-
-def test_optimizer_never_worse_than_input():
-    for loss in (10.0, 25.49, 28.5):
-        point = TABLE_POINT.with_loss(loss)
-        base = skb_per_pulse(point).skb_per_pulse
-        _, report = optimize_operating_point(
-            point, free=("pre_attenuation",), regime="asymptotic"
-        )
-        assert report.skb_per_pulse >= base
-
-
-def test_optimizer_extends_reach_past_passive_cutoff():
+def test_damped_source_extends_reach_past_passive_cutoff():
     # beyond the fixed-brightness cutoff, damping the source restores key
     point = TABLE_POINT.with_loss(30.5)
     assert not skb_per_pulse(point).positive
-    best, report = optimize_operating_point(
-        point, free=("pre_attenuation",), regime="asymptotic"
-    )
-    assert report.positive
-    assert best.source.pre_attenuation < 1.0
+    damped = point.with_source(replace(point.source, pre_attenuation=0.4))
+    assert skb_per_pulse(damped).positive
 
 
-def test_optimizer_biased_basis_helps_small_finite_blocks():
+def test_biased_basis_helps_small_finite_blocks():
     point = TABLE_POINT.with_loss(28.5)
     base = skb_per_pulse(point, "finite", block_size=1e5).skb_per_pulse
     assert base == pytest.approx(2.542525e-6, rel=1e-3)
-    best, report = optimize_operating_point(
-        point, free=("basis_bias",), regime="finite", block_size=1e5
-    )
-    assert report.skb_per_pulse > base
-    assert best.protocol.basis_bias != pytest.approx(0.5, abs=0.05)
+    biased = replace(point, protocol=replace(point.protocol, basis_bias=0.9))
+    assert skb_per_pulse(biased, "finite", block_size=1e5).skb_per_pulse > base
 
 
-def test_optimizer_rejects_unknown_parameter():
-    with pytest.raises(ParameterError):
-        optimize_operating_point(TABLE_POINT, free=("clock_rate",))
+def test_golden_refine_finds_the_maximum_of_a_unimodal_function():
+    calls = []
+
+    def parabola(x: float) -> float:
+        calls.append(x)
+        return 3.0 - (x - 0.3) ** 2
+
+    best, value = keyrate._golden_refine(parabola, -1.0, 2.0)
+    assert best == pytest.approx(0.3, abs=1e-6)
+    assert value == pytest.approx(3.0, abs=1e-12)
+    assert all(-1.0 <= x <= 2.0 for x in calls)
+    # two opening probes, then one per iteration
+    assert len(calls) == 42
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sps_bb84.params import (
     SimulationConfig,
     SourceModel,
     binary_entropy,
-    length_to_loss,
     load_scenario,
     loss_to_length,
     scenario_from_mapping,
@@ -138,7 +137,7 @@ def test_loss_to_length_guards_zero_attenuation():
 def test_loss_length_round_trip_identity():
     for loss in np.linspace(0.1, 40.0, 37):
         atten = 0.1956
-        back = length_to_loss(loss_to_length(loss, atten), atten)
+        back = loss_to_length(loss, atten) * atten
         assert back == pytest.approx(loss, rel=1e-12)
 
 
@@ -205,6 +204,15 @@ def test_link_model_rejects_dark_prob_of_one():
     with pytest.raises(ParameterError) as err:
         LinkModel(dark_count_prob=1.0)
     assert err.value.field_name == "dark_count_prob"
+
+
+@pytest.mark.parametrize("count", [2, 5])
+def test_link_model_requires_one_detector_per_port(count):
+    # the receiver has four ports; other counts would put dark tags on
+    # missing ports or on the reference channel
+    with pytest.raises(ParameterError) as err:
+        LinkModel(detector_count=count)
+    assert err.value.field_name == "detector_count"
 
 
 def test_link_dark_prob_scales_inversely_with_clock_rate():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sps_bb84 import keyrate, polcomp
+from sps_bb84._table import read_table
 from sps_bb84.keyrate import qber_total
 from sps_bb84.params import OperatingPoint, ParameterError
 from sps_bb84.polcomp import (
@@ -27,7 +28,6 @@ from sps_bb84.polcomp import (
     basis_error_rates,
     compensate,
     measured_qber,
-    read_trace_csv,
     residual_rotation,
     rotation_from_axis_angle,
     track_compensation,
@@ -622,6 +622,13 @@ class TestTracking:
 # trace export
 # ---------------------------------------------------------------------------
 
+def _read_trace(path) -> CompensationTrace:
+    """Read a ``write_trace_csv`` file back through the table codec."""
+    parsers = (float, float, float, np.int64)
+    columns = read_table(path, "trace", polcomp._TRACE_HEADER, parsers)
+    return CompensationTrace(*columns)
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         trace = CompensationTrace(
@@ -632,7 +639,7 @@ class TestTraceCsv:
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
-        loaded = read_trace_csv(path)
+        loaded = _read_trace(path)
         np.testing.assert_allclose(loaded.time_s, trace.time_s)
         np.testing.assert_allclose(
             loaded.residual_qber, trace.residual_qber
@@ -645,7 +652,7 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n1,2,3,4\n")
         with pytest.raises(ParameterError, match="header"):
-            read_trace_csv(path)
+            _read_trace(path)
 
     @pytest.mark.parametrize("row", ["0.05,0.8,3.5e-4", "0.05,0.8,3.5e-4,4,9"])
     def test_row_width_is_enforced(self, tmp_path, row):
@@ -654,7 +661,7 @@ class TestTraceCsv:
             f"time_s,drift_angle,residual_qber,probes_used\n{row}\n"
         )
         with pytest.raises(ParameterError, match=r"trace\[0\].*columns"):
-            read_trace_csv(path)
+            _read_trace(path)
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="equal length"):

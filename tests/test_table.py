@@ -15,7 +15,6 @@ from sps_bb84._table import read_table, write_table
 from sps_bb84.keyrate import read_dataset_csv
 from sps_bb84.montecarlo import read_tags_csv
 from sps_bb84.params import ParameterError
-from sps_bb84.polcomp import read_trace_csv
 from sps_bb84.tagproc import read_histogram_csv
 
 #: every public reader with the header it expects
@@ -23,7 +22,6 @@ READERS = (
     (read_dataset_csv, "label,mean_photon_number,g2_zero"),
     (read_tags_csv, "time_ps,channel,truth_state,truth_photons,dark"),
     (read_histogram_csv, "delay_ps,counts"),
-    (read_trace_csv, "time_s,drift_angle,residual_qber,probes_used"),
 )
 
 # no surrogates (not encodable) and no NUL (rejected by the csv module

@@ -14,7 +14,6 @@ from sps_bb84.montecarlo import (
 )
 from sps_bb84.params import OperatingPoint, ParameterError
 from sps_bb84.tagproc import (
-    BasisQber,
     CorrelationHistogram,
     InsufficientStatisticsError,
     TruthTable,
@@ -23,11 +22,9 @@ from sps_bb84.tagproc import (
     fit_lifetime,
     g2_zero,
     optimize_temporal_window,
-    qber_from_table,
     read_histogram_csv,
     truth_table,
     write_histogram_csv,
-    write_truth_table_csv,
 )
 
 PERIOD_PS = 1e12 / 228e6
@@ -378,30 +375,6 @@ def test_fidelity_penalizes_crossed_imbalance():
     assert fidelity(TruthTable(counts=skewed)) < 1.0
 
 
-def test_qber_from_table_counts_wrong_ports():
-    counts = np.array(
-        [
-            [98, 2, 50, 50],
-            [3, 97, 50, 50],
-            [50, 50, 96, 4],
-            [50, 50, 1, 99],
-        ],
-        dtype=np.float64,
-    )
-    qber = qber_from_table(TruthTable(counts=counts))
-    assert isinstance(qber, BasisQber)
-    assert qber.z == pytest.approx(5 / 200)
-    assert qber.x == pytest.approx(5 / 200)
-    assert qber.combined == pytest.approx(10 / 400)
-
-
-def test_qber_needs_matched_coincidences():
-    counts = IDEAL_COUNTS.copy()
-    counts[2:, 2:] = 0.0  # diagonal basis never decoded correctly-basis
-    with pytest.raises(ParameterError, match="matched-basis"):
-        qber_from_table(TruthTable(counts=counts))
-
-
 def test_truth_table_requires_all_states(truth_streams):
     _, streams = truth_streams
     with pytest.raises(ParameterError, match="encoded state 1"):
@@ -411,14 +384,15 @@ def test_truth_table_requires_all_states(truth_streams):
 def test_simulated_table_matches_analytic_qber(truth_streams):
     point, streams = truth_streams
     table = truth_table(streams)
-    qber = qber_from_table(table)
     expected = qber_total(point)
     matched = sum(
         table.counts[s, 2 * (s >> 1)] + table.counts[s, 2 * (s >> 1) + 1]
         for s in range(4)
     )
+    # within its basis, state s lands on the wrong port s ^ 1
+    wrong = sum(table.counts[s, s ^ 1] for s in range(4))
     sigma = math.sqrt(expected * (1.0 - expected) / matched)
-    assert abs(qber.combined - expected) < 3.0 * sigma
+    assert abs(wrong / matched - expected) < 3.0 * sigma
 
 
 def test_simulated_table_fidelity_is_high(truth_streams):
@@ -470,40 +444,10 @@ def test_windowing_beats_baseline_when_darks_dominate(dark_dominated):
 
 def test_window_search_never_returns_worse(dark_dominated):
     point, response = dark_dominated
-    for objective in ("asymptotic", "finite"):
-        result = optimize_temporal_window(point, response,
-                                          objective=objective)
-        assert result.report.skb_per_pulse >= \
-            result.baseline_report.skb_per_pulse
-        assert result.report.regime == objective
-
-
-def test_finite_objective_uses_block_size(dark_dominated):
-    point, response = dark_dominated
-    result = optimize_temporal_window(point, response, objective="finite",
-                                      block_size=1e5)
-    assert result.report.regime == "finite"
+    result = optimize_temporal_window(point, response)
     assert result.report.skb_per_pulse >= \
         result.baseline_report.skb_per_pulse
-
-
-def test_measured_g2_overrides_source(response_10db,
-                                      pair_histogram_high_g2):
-    point = OperatingPoint()
-    result = optimize_temporal_window(
-        point, response_10db, g2_histogram=pair_histogram_high_g2
-    )
-    expected = g2_zero(pair_histogram_high_g2, period_ps=PERIOD_PS,
-                       lifetime_ps=point.source.lifetime)
-    assert result.filtered_point.source.g2_zero == \
-        pytest.approx(expected.value)
-    assert result.filtered_point.source.g2_zero != point.source.g2_zero
-
-
-def test_window_objective_is_validated(response_10db):
-    with pytest.raises(ParameterError, match="objective"):
-        optimize_temporal_window(OperatingPoint(), response_10db,
-                                 objective="peak")
+    assert result.report.regime == "asymptotic"
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +502,3 @@ def test_histogram_csv_tolerates_centre_rounding(tmp_path):
     back = read_histogram_csv(path)
     assert np.array_equal(back.counts, histogram.counts)
     assert back.bin_width_ps == pytest.approx(10.0 / 3.0, abs=1e-3)
-
-
-def test_truth_table_csv_layout(tmp_path):
-    path = tmp_path / "table.csv"
-    write_truth_table_csv(TruthTable(counts=IDEAL_COUNTS), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "encoded,H,V,D,A"
-    assert lines[1] == "H,1000,0,500,500"
-    assert len(lines) == 5
